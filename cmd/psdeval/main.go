@@ -6,25 +6,21 @@
 // Usage:
 //
 //	psdeval -spec system.json [-npsd 1024] [-simulate] [-samples 1000000]
-//	psdeval -system dwt97(fig3) [-frac 12] [-mode full|cached|delta]
+//	psdeval -system dwt97(fig3) [-frac 12] [-mode full|cached]
 //	psdeval -system dwt97(fig3) -store ~/.cache/wlopt   # warm plans across runs
 //
 // The -store flag points at the same content-addressed warm store wloptd
 // uses: registry-system plans (transfer profiles + σ²-tables) restore from
 // disk instead of being rebuilt, and fresh builds are written through for
 // the next invocation (or for a daemon sharing the directory). It applies
-// to -system runs in cached/delta mode — block-spec files have no content
-// digest to address by, and -mode full deliberately bypasses the cache the
+// to -system runs in cached mode — block-spec files have no content digest
+// to address by, and -mode full deliberately bypasses the cache the
 // snapshots capture.
 //
 // The -mode flag selects the proposed method's evaluation path and makes
 // the transfer-cache speedup measurable from the CLI: "full" forces the
-// per-source propagation, "cached" (default) uses the plan's transfer
-// profiles, and "delta" additionally times the scalar move-scoring path
-// (PowerMoves) and the incremental move path (EvaluateMoves) against
-// batch re-evaluation of the same single-width candidates, verifying the
-// scalar scores match the move results bit-for-bit and the batch within
-// 1e-12.
+// per-source propagation and "cached" (default) uses the plan's transfer
+// profiles.
 //
 // Spec format (blocks are connected by "from" references; "adder" takes a
 // list):
@@ -46,7 +42,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"time"
 
@@ -93,7 +88,7 @@ func main() {
 		sysName  = flag.String("system", "", "evaluate a registry system by name instead of a spec (see -list)")
 		list     = flag.Bool("list", false, "list registry system names and exit")
 		frac     = flag.Int("frac", 12, "uniform fractional width for -system graphs")
-		mode     = flag.String("mode", core.EvalModeCached, "proposed-method evaluation path: full, cached, or delta")
+		mode     = flag.String("mode", core.EvalModeCached, "proposed-method evaluation path: full or cached")
 		reps     = flag.Int("reps", 1, "repetitions of the proposed-method evaluation for the timing readout (raise for stable µs/eval numbers)")
 		npsd     = flag.Int("npsd", 1024, "PSD bins")
 		storeDir = flag.String("store", "", "persistent warm-store directory for -system plans (shared with wloptd); empty disables")
@@ -119,9 +114,9 @@ func main() {
 		os.Exit(2)
 	}
 	switch *mode {
-	case core.EvalModeFull, core.EvalModeCached, "delta":
+	case core.EvalModeFull, core.EvalModeCached:
 	default:
-		fmt.Fprintf(os.Stderr, "psdeval: unknown -mode %q (want full, cached, or delta)\n", *mode)
+		fmt.Fprintf(os.Stderr, "psdeval: unknown -mode %q (want full or cached)\n", *mode)
 		os.Exit(2)
 	}
 	if *reps < 1 {
@@ -242,12 +237,6 @@ func run(specPath, sysName string, frac int, mode string, reps, npsd int, storeD
 		"psd", psdRes.Power, psdRes.Mean, psdRes.Variance, planMode, perEval.Round(time.Nanosecond))
 	results := map[string]*core.Result{"psd": psdRes}
 
-	if mode == "delta" {
-		if err := demoDelta(eng, g, reps); err != nil {
-			return err
-		}
-	}
-
 	evals := []core.Evaluator{core.NewAgnosticEvaluator(npsd)}
 	if !g.IsMultirate() {
 		evals = append(evals, core.NewFlatEvaluator())
@@ -277,73 +266,6 @@ func run(specPath, sysName string, frac int, mode string, reps, npsd int, storeD
 	for _, s := range psdRes.PerSource {
 		fmt.Printf("  %-20s variance %.6g  mean %.4g\n", s.Name, s.Variance, s.Mean)
 	}
-	return nil
-}
-
-// demoDelta times one greedy step's worth of single-width candidates (one
-// bit removed from every source) through the scalar move-scoring path and
-// the incremental move path versus batch re-evaluation, verifying the
-// scalar scores equal the move results' powers bit-for-bit and both agree
-// with the batch within the 1e-12 relative contract.
-func demoDelta(eng *core.Engine, g *sfg.Graph, reps int) error {
-	base := core.AssignmentOf(g)
-	var moves []core.Move
-	var batch []core.Assignment
-	for _, id := range g.NoiseSources() {
-		f := base[id] - 1
-		if f < 1 {
-			f = 1
-		}
-		moves = append(moves, core.Move{Source: id, Frac: f})
-		a := base.Clone()
-		a[id] = f
-		batch = append(batch, a)
-	}
-	// Warm each path once before timing (the first scalar call builds the
-	// σ² width tables; the first move/batch calls fill the state pools),
-	// so the loop measures steady-state per-call cost.
-	var powers []float64
-	var err error
-	if powers, err = eng.PowerMoves(g, base, moves); err != nil {
-		return fmt.Errorf("scalar: %w", err)
-	}
-	scalarStart := time.Now()
-	for i := 0; i < reps; i++ {
-		if powers, err = eng.PowerMoves(g, base, moves); err != nil {
-			return fmt.Errorf("scalar: %w", err)
-		}
-	}
-	perScalar := time.Since(scalarStart) / time.Duration(reps)
-	var moved []*core.Result
-	moveStart := time.Now()
-	for i := 0; i < reps; i++ {
-		if moved, err = eng.EvaluateMoves(g, base, moves); err != nil {
-			return fmt.Errorf("delta: %w", err)
-		}
-	}
-	perMoves := time.Since(moveStart) / time.Duration(reps)
-	var batched []*core.Result
-	batchStart := time.Now()
-	for i := 0; i < reps; i++ {
-		if batched, err = eng.EvaluateBatch(g, batch); err != nil {
-			return fmt.Errorf("batch: %w", err)
-		}
-	}
-	perBatch := time.Since(batchStart) / time.Duration(reps)
-	for i := range moved {
-		if powers[i] != moved[i].Power {
-			return fmt.Errorf("scalar score %.17g diverges from move power %.17g at move %d",
-				powers[i], moved[i].Power, i)
-		}
-		if rel := math.Abs(moved[i].Power-batched[i].Power) / math.Max(moved[i].Power, batched[i].Power); rel > 1e-12 {
-			return fmt.Errorf("delta power %.17g diverges from batch %.17g beyond 1e-12 at move %d",
-				moved[i].Power, batched[i].Power, i)
-		}
-	}
-	fmt.Printf("%-16s %d single-width candidates: %s scalar PowerMoves vs %s EvaluateMoves vs %s batched (%.0fx / %.1fx)\n",
-		"delta", len(moves), perScalar.Round(time.Nanosecond), perMoves.Round(time.Nanosecond),
-		perBatch.Round(time.Nanosecond),
-		float64(perBatch)/float64(perScalar), float64(perBatch)/float64(perMoves))
 	return nil
 }
 

@@ -29,7 +29,7 @@ func writeSpec(t *testing.T, body string) string {
 
 func TestRunHappyPath(t *testing.T) {
 	p := writeSpec(t, sampleSpec)
-	for _, mode := range []string{"cached", "full", "delta"} {
+	for _, mode := range []string{"cached", "full"} {
 		if err := run(p, "", 0, mode, 2, 128, "", true, 20000, 1); err != nil {
 			t.Fatalf("mode %s: %v", mode, err)
 		}
@@ -37,7 +37,7 @@ func TestRunHappyPath(t *testing.T) {
 }
 
 func TestRunRegistrySystem(t *testing.T) {
-	if err := run("", "dwt97(fig3)", 10, "delta", 2, 128, "", false, 0, 1); err != nil {
+	if err := run("", "dwt97(fig3)", 10, "cached", 2, 128, "", false, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := run("", "no-such-system", 10, "cached", 1, 128, "", false, 0, 1); err == nil {
@@ -121,12 +121,11 @@ func TestBuildGraphExplicitCoefficients(t *testing.T) {
 }
 
 // TestRunWarmStoreRoundTrip: the first -store run writes the plan through,
-// the second restores it from disk; delta mode's internal bit-for-bit
-// scalar/move/batch cross-checks then run on the restored plan.
+// the second restores it from disk and evaluates on the restored plan.
 func TestRunWarmStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	for i := 0; i < 2; i++ {
-		if err := run("", "dwt97(fig3)", 10, "delta", 1, 128, dir, false, 0, 1); err != nil {
+		if err := run("", "dwt97(fig3)", 10, "cached", 1, 128, dir, false, 0, 1); err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
 	}

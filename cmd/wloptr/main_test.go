@@ -712,6 +712,19 @@ func TestClusterSurvivesInjectedFaults(t *testing.T) {
 		rt.Close()
 	})
 
+	// Injected transport errors may eject b1 and fail its systems over to
+	// b2, so the routed loop alone need not reach b1's store. One job
+	// submitted straight to b1 over a fault-free client makes its first
+	// store write happen regardless of how the ring walk goes.
+	direct := api.NewClient(b1.url)
+	first, err := direct.Submit(ctx, service.Request{System: registry[0].Name(), Options: testOptions("descent", 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin, err := direct.Wait(ctx, first.ID); err != nil || fin.State != service.JobDone {
+		t.Fatalf("direct submit to b1: %+v, %v", fin, err)
+	}
+
 	cl := api.NewClient(rts.URL).WithRetry(api.RetryPolicy{
 		MaxAttempts: 8, BaseDelay: 20 * time.Millisecond, Seed: 1,
 	})

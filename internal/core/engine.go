@@ -71,24 +71,16 @@ type Move struct {
 	Frac int
 }
 
-// MoveEvaluator is implemented by evaluators with an incremental path for
-// single-source width changes. EvaluateMoves scores each move applied to
-// base independently (moves do not compound), returning results in move
-// order whose PSDs, means and per-source rows are bit-identical to
-// EvaluateBatch on the equivalently moved assignments (powers agree within
-// 1e-12 relative; see transfer.go for the per-tier contract).
-type MoveEvaluator interface {
-	BatchEvaluator
-	EvaluateMoves(g *sfg.Graph, base Assignment, moves []Move) ([]*Result, error)
-}
-
-// MovePowerEvaluator is implemented by move evaluators with a scalar fast
-// path: PowerMoves returns only the output powers of the moved
-// assignments — bit-identical to the Power fields EvaluateMoves reports,
-// without materializing Results. This is the greedy search's hot call:
-// every strategy consumes only the scalar power of a candidate move.
+// MovePowerEvaluator is implemented by batch evaluators with a scalar
+// move-scoring path: PowerMoves scores each single-source width change
+// applied independently to base (moves do not compound) and returns only
+// the output powers, in move order, without materializing Results. This
+// is the greedy search's hot call: every strategy consumes only the
+// scalar power of a candidate move. The powers agree with EvaluateBatch
+// on the equivalently moved assignments within 1e-12 relative (see
+// transfer.go for the per-tier contract).
 type MovePowerEvaluator interface {
-	MoveEvaluator
+	BatchEvaluator
 	PowerMoves(g *sfg.Graph, base Assignment, moves []Move) ([]float64, error)
 }
 
@@ -112,11 +104,10 @@ type MovePowerEvaluator interface {
 //
 // Each plan additionally carries the transfer cache (see transfer.go): a
 // per-source unit transfer profile that turns evaluation into a fused
-// multiply-accumulate, single-width moves (EvaluateMoves) into incremental
-// leaf swaps, and scalar move scores (PowerMoves) into σ²-table lookups,
-// with the full per-source propagation retained as the fallback for
-// topologies that fail the linearity probe (and available explicitly via
-// SetFullPropagation).
+// multiply-accumulate and scalar move scores (PowerMoves) into σ²-table
+// lookups, with the full per-source propagation retained as the fallback
+// for topologies that fail the linearity probe (and available explicitly
+// via SetFullPropagation).
 //
 // The read path is lock-free: the plan cache is an immutable snapshot
 // swapped through an atomic pointer (copy-on-write), and recency stamps
@@ -251,8 +242,8 @@ func (e *Engine) Invalidate(g *sfg.Graph) {
 // hit path — every warm call of every public entry point — is lock-free:
 // one atomic snapshot load, one map lookup, one atomic recency bump.
 // Recency is stamped on hits and misses alike, so any entry point
-// (Evaluate, EvaluateBatch, EvaluateMoves, PowerMoves, EvalMode, ...)
-// refreshes its graph's LRU position.
+// (Evaluate, EvaluateBatch, PowerMoves, EvalMode, ...) refreshes its
+// graph's LRU position.
 func (e *Engine) plan(g *sfg.Graph) (*graphPlan, error) {
 	if en, ok := e.plans.Load().m[g]; ok {
 		en.lastUse.Store(e.tick.Add(1))
@@ -406,34 +397,14 @@ func (e *Engine) EvaluateBatch(g *sfg.Graph, as []Assignment) ([]*Result, error)
 	return p.evaluateAll(as, e.workers)
 }
 
-// EvaluateMoves implements MoveEvaluator: it scores every single-source
-// width change applied (independently) to base, returning results in move
-// order. PSD bins, means and per-source rows are bit-identical to
-// EvaluateBatch on the equivalently moved assignments; Power and Variance
-// are the scalar tier's, bit-identical to PowerMoves. On transfer-cached
-// plans each move costs O(npsd log S) — one leaf of the contribution tree
-// is swapped against a pooled base state — instead of a full
-// re-evaluation; plans on the full-propagation fallback materialize the
-// moved assignments and fan them across the worker pool like a batch.
-func (e *Engine) EvaluateMoves(g *sfg.Graph, base Assignment, moves []Move) ([]*Result, error) {
-	if len(moves) == 0 {
-		return nil, nil
-	}
-	p, err := e.plan(g)
-	if err != nil {
-		return nil, err
-	}
-	return p.evaluateMoves(base, moves, e.workers)
-}
-
 // PowerMoves implements MovePowerEvaluator: it scores every single-source
 // width change applied (independently) to base and returns only the
 // output powers, in move order — on transfer-cached plans O(1) per move
 // (one σ²-table lookup plus an O(log S) scalar leaf swap, no per-bin
-// traffic and no Result materialization), bit-identical to the Power
-// fields EvaluateMoves reports. This is the word-length optimizer's
-// per-step hot call. Plans on the full-propagation fallback materialize
-// the moves like EvaluateMoves and extract the powers.
+// traffic and no Result materialization). This is the word-length
+// optimizer's per-step hot call. Plans on the full-propagation fallback
+// evaluate the moved assignments across the worker pool like a batch and
+// extract the powers.
 func (e *Engine) PowerMoves(g *sfg.Graph, base Assignment, moves []Move) ([]float64, error) {
 	if len(moves) == 0 {
 		return nil, nil
@@ -496,8 +467,8 @@ type graphPlan struct {
 
 	cached    bool               // transfer profiles validated; cached path is canonical
 	profiles  []transferProfile  // by source index (NoiseSources order)
-	srcIndex  map[sfg.NodeID]int // source id -> profile index
-	statePool sync.Pool          // of *contribState, for cached evaluation and moves
+	srcIndex  map[sfg.NodeID]int // source id -> index in NoiseSources order
+	statePool sync.Pool          // of *contribState, for cached evaluation
 
 	sigmaOnce  sync.Once      // lazily builds the σ² width tables
 	sigma      [][]sigmaEntry // per-source width→(σ², μ) tables; see sigmaFor
@@ -516,6 +487,10 @@ func newGraphPlanMode(g *sfg.Graph, npsd int, forceFull bool) (*graphPlan, error
 		return nil, err
 	}
 	p := &graphPlan{npsd: npsd, snap: snap, resp: make([][]complex128, snap.Len())}
+	p.srcIndex = make(map[sfg.NodeID]int, len(snap.NoiseSources()))
+	for i, id := range snap.NoiseSources() {
+		p.srcIndex[id] = i
+	}
 	// Preprocessing (the paper's tau_pp): sample every LTI node's response
 	// once per plan instead of once per Evaluate call.
 	for _, id := range snap.Order() {

@@ -31,7 +31,7 @@ func oneMove(g *sfg.Graph) (Assignment, []Move) {
 // TestPlanCacheRecencyEntryPoints is the eviction-order regression audit:
 // every public Engine entry point that resolves a plan must refresh that
 // graph's LRU recency, so a graph kept warm through *any* call pattern —
-// including the move paths — survives eviction pressure. For each entry
+// including move scoring — survives eviction pressure. For each entry
 // point: fill a cap-2 cache with A then B, touch A through the entry
 // point, insert C, and require that B (not A) was evicted.
 func TestPlanCacheRecencyEntryPoints(t *testing.T) {
@@ -46,11 +46,6 @@ func TestPlanCacheRecencyEntryPoints(t *testing.T) {
 		},
 		"EvaluateBatch": func(e *Engine, g *sfg.Graph) error {
 			_, err := e.EvaluateBatch(g, []Assignment{AssignmentOf(g)})
-			return err
-		},
-		"EvaluateMoves": func(e *Engine, g *sfg.Graph) error {
-			base, moves := oneMove(g)
-			_, err := e.EvaluateMoves(g, base, moves)
 			return err
 		},
 		"PowerMoves": func(e *Engine, g *sfg.Graph) error {

@@ -57,30 +57,3 @@ func TestSigmaTableMatchesContribLeaves(t *testing.T) {
 		}
 	}
 }
-
-// TestSigmaTableDrivesPerSourceRows: the per-source variance a materialized
-// move reports for the moved source is exactly the table value — the
-// scalar tier and the Result tier expose one number, not two roundings.
-func TestSigmaTableDrivesPerSourceRows(t *testing.T) {
-	for name, g := range registryGraphs(t, 14) {
-		eng := NewEngine(64, 1)
-		base := AssignmentOf(g)
-		sources := g.NoiseSources()
-		for i, id := range sources {
-			mv := Move{Source: id, Frac: base[id] - 2}
-			rs, err := eng.EvaluateMoves(g, base, []Move{mv})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			p, err := eng.plan(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			vari, mean := p.sigmaFor(i, mv.Frac)
-			if rs[0].PerSource[i].Variance != vari || rs[0].PerSource[i].Mean != mean {
-				t.Fatalf("%s: moved source row (%g, %g) != table (%g, %g)", name,
-					rs[0].PerSource[i].Variance, rs[0].PerSource[i].Mean, vari, mean)
-			}
-		}
-	}
-}

@@ -25,9 +25,9 @@ import (
 // built one. Profiles round-trip as exact float64 values, the derived
 // energy is recomputed with the same canonical psd.Sum kernel over the same
 // bits, and the σ²-tables are restored cell-for-cell, so every tier
-// (Evaluate, EvaluateBatch, EvaluateMoves, PowerMoves) reproduces the
-// fresh plan's outputs exactly. TestPlanSnapshotRoundTripBitIdentical pins
-// this across the whole registry.
+// (Evaluate, EvaluateBatch, PowerMoves) reproduces the fresh plan's
+// outputs exactly. TestPlanSnapshotRoundTripBitIdentical pins this across
+// the whole registry.
 
 // ErrPlanNotCached is returned by SnapshotPlan for plans on the
 // full-propagation fallback: their warm state is the propagation itself,

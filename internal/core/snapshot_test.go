@@ -40,9 +40,9 @@ func exactResultsEqual(t *testing.T, name string, got, want *Result) {
 // TestPlanSnapshotRoundTripBitIdentical is the registry-wide restore
 // property test: for every registry system, a plan restored from a
 // snapshot onto a freshly built graph serves results bit-identical to a
-// freshly built plan — across assignment evaluation, batch evaluation,
-// move materialization and scalar move scoring — without building a single
-// plan from scratch (no propagation, no response sampling).
+// freshly built plan — across assignment evaluation, batch evaluation and
+// scalar move scoring — without building a single plan from scratch (no
+// propagation, no response sampling).
 func TestPlanSnapshotRoundTripBitIdentical(t *testing.T) {
 	reg, err := systems.Registry()
 	if err != nil {
@@ -116,17 +116,6 @@ func TestPlanSnapshotRoundTripBitIdentical(t *testing.T) {
 			// One greedy step's worth of moves, plus random widths.
 			movesF := movesOf(base, srcF, 2, 18, rand.New(rand.NewSource(3)))
 			movesR := movesOf(baseR, srcR, 2, 18, rand.New(rand.NewSource(3)))
-			wantMoves, err := fresh.EvaluateMoves(gFresh, base, movesF)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotMoves, err := restored.EvaluateMoves(gRestored, baseR, movesR)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range wantMoves {
-				exactResultsEqual(t, "moves", gotMoves[i], wantMoves[i])
-			}
 			wantPow, err := fresh.PowerMoves(gFresh, base, movesF)
 			if err != nil {
 				t.Fatal(err)

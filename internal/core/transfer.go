@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/psd"
 	"repro/internal/qnoise"
-	"repro/internal/sfg"
 )
 
 // This file implements the transfer-cache layer of the engine — the
@@ -21,26 +20,26 @@ import (
 //
 // with S_k and G independent of the source width. Plan construction
 // propagates a unit-moment (mean 1, variance 1) wave from each source once
-// and caches (S_k, G) as that source's transferProfile; evaluate then reduces to one
-// fused multiply per source per bin, a single-width move's materialized
-// Result to an O(npsd log S) leaf swap (see contribState), and a move's
-// scalar *score* to one σ²-table lookup plus an O(log S) scalar leaf swap
-// with no per-bin traffic at all (see scalarState — every optimizer
-// strategy consumes only the scalar output power). Graphs whose
-// propagation fails the exactness probe below fall back to full
-// propagation.
+// and caches (S_k, G) as that source's transferProfile. Evaluate then
+// reduces to one fused multiply per source per bin (see contribState),
+// and a candidate move's scalar score to one σ²-table lookup plus an
+// O(log S) scalar leaf swap with no per-bin traffic at all (see
+// scalarState — every optimizer strategy consumes only the scalar output
+// power). Graphs whose propagation fails the exactness probe below fall
+// back to full propagation.
 //
 // Bit-identity contract, per tier:
 //
 //   - Evaluate, EvaluateAssignment and EvaluateBatch reduce contributions
 //     through the same fixed-shape pairwise tree and are bit-identical to
 //     one another for any worker count.
-//   - EvaluateMoves produces PSD bins, means and per-source rows
-//     bit-identical to EvaluateBatch on the equivalently moved
-//     assignments; its Power and Variance come from the scalar tier and
-//     are bit-identical to PowerMoves by construction, and within 1e-12
-//     relative of the batch paths' bin-summed derivation (the same real
-//     sum, associated per source instead of per bin).
+//   - PowerMoves is the only move-scoring path. Its powers are within
+//     1e-12 relative of the batch paths' on the equivalently moved
+//     assignments (the same real sum, associated per source instead of
+//     per bin) and bit-identical for any worker count. On a
+//     full-propagation plan it evaluates the moved assignments through
+//     EvaluateBatch's code, so there its powers equal the batch powers
+//     exactly.
 //   - The retained full-propagation path is the reference all cached
 //     tiers are compared against (within 1e-12 relative; exactly equal on
 //     graphs that stay coherent to the output when npsd is a power of
@@ -77,12 +76,10 @@ type transferProfile struct {
 // masquerade as the variance-linear model's factor of 4.
 func (p *graphPlan) buildProfiles() {
 	sources := p.snap.NoiseSources()
-	p.srcIndex = make(map[sfg.NodeID]int, len(sources))
 	p.profiles = make([]transferProfile, len(sources))
 	s := p.scratch.Get().(*evalScratch)
 	defer p.scratch.Put(s)
 	for i, id := range sources {
-		p.srcIndex[id] = i
 		s.reset()
 		unit, err := p.propagate(s, id, 1, 1)
 		if err != nil {
@@ -112,14 +109,14 @@ func (p *graphPlan) buildProfiles() {
 }
 
 // The σ²-table tier: every strategy consumes only the scalar output power
-// of a candidate move, so the per-bin work of the delta path is wasted on
-// the hot loop. For each source the plan memoizes, over the feasible width
-// grid, the scalar pair (σ²(w), μ(w)) — the per-source output variance and
-// mean at width w. Each entry is computed with the exact scale-then-sum
-// kernel fillLeaf runs (psd.ScaleInto followed by the canonical psd.Sum),
-// so a table lookup is bit-identical to the per-bin path's per-source
-// variance by construction, and a move score becomes one lookup plus a
-// fixed-shape scalar walk up the contribution tree (see scalarState).
+// of a candidate move, so per-bin work would be wasted on the hot loop.
+// For each source the plan memoizes, over the feasible width grid, the
+// scalar pair (σ²(w), μ(w)) — the per-source output variance and mean at
+// width w. Each entry is computed with the exact scale-then-sum kernel
+// fillLeaf runs (psd.ScaleInto followed by the canonical psd.Sum), so a
+// table lookup is bit-identical to the per-bin path's per-source variance
+// by construction, and a move score becomes one lookup plus a fixed-shape
+// scalar walk up the contribution tree (see scalarState).
 
 // sigmaGridMin/Max bound the memoized width grid. wlopt clamps widths to
 // [1, 48]; widths outside the grid fall back to computing the same kernel
@@ -203,10 +200,11 @@ func (p *graphPlan) resolveSource(i int, a Assignment) (int, qnoise.Moments) {
 // contribState is the canonical cached evaluation of one assignment: the
 // per-source contribution leaves (variance * profile bins) combined through
 // a fixed-shape pairwise reduction tree whose root is the output PSD. The
-// tree makes delta evaluation exact: swapping one leaf and recombining its
-// root path performs the identical float additions a fresh build performs,
-// so a moved result is bit-identical to evaluating the moved assignment
-// from scratch — at O(npsd * log S) instead of O(S * npsd) cost.
+// tree makes a pooled state's rebuild exact: swapping one leaf and
+// recombining its root path performs the identical float additions a fresh
+// build performs, so a state rebuilt for a new assignment is bit-identical
+// to one built from scratch — at O(npsd * log S) per changed leaf instead
+// of O(S * npsd).
 //
 // Tree shape: level 0 holds the S leaves; each higher level pairs
 // neighbours, an odd tail node passing through by aliasing the child's
@@ -225,11 +223,9 @@ type contribState struct {
 
 	binLevels  [][][]float64 // reduction levels above the leaves
 	meanLevels [][]float64   // matching scalar reduction for the means
-	varLevels  [][]float64   // matching scalar reduction for the variances
 
-	dirty    []int     // scratch for build's changed-leaf bookkeeping
-	moveBins []float64 // scratch root accumulator of resultForMove
-	zero     []float64 // root stand-in for source-free graphs
+	dirty []int     // scratch for build's changed-leaf bookkeeping
+	zero  []float64 // root stand-in for source-free graphs
 }
 
 func newContribState(p *graphPlan) *contribState {
@@ -247,7 +243,6 @@ func newContribState(p *graphPlan) *contribState {
 		st.fracs[i] = -1 << 30 // never equal to a real width: first build always fills
 		st.leafBins[i] = make([]float64, p.npsd)
 	}
-	st.moveBins = make([]float64, p.npsd)
 	if n == 0 {
 		st.zero = make([]float64, p.npsd)
 		return st
@@ -267,7 +262,6 @@ func newContribState(p *graphPlan) *contribState {
 		}
 		st.binLevels = append(st.binLevels, next)
 		st.meanLevels = append(st.meanLevels, nextMean)
-		st.varLevels = append(st.varLevels, make([]float64, len(next)))
 		level = next
 	}
 	return st
@@ -288,15 +282,6 @@ func (st *contribState) childMeans(l int) []float64 {
 	return st.meanLevels[l-1]
 }
 
-// childVars returns the scalar variance values feeding level l (the
-// per-source variances for l == 0).
-func (st *contribState) childVars(l int) []float64 {
-	if l == 0 {
-		return st.perVar
-	}
-	return st.varLevels[l-1]
-}
-
 // fillLeaf computes source i's contribution from its cached profile.
 func (st *contribState) fillLeaf(i int) {
 	prof := &st.plan.profiles[i]
@@ -310,15 +295,13 @@ func (st *contribState) combinePath(i int) {
 	idx := i
 	for l := range st.binLevels {
 		parent := idx / 2
-		children, means, vars := st.childBins(l), st.childMeans(l), st.childVars(l)
+		children, means := st.childBins(l), st.childMeans(l)
 		if 2*parent+1 < len(children) {
 			psd.AddInto(st.binLevels[l][parent], children[2*parent], children[2*parent+1])
 			st.meanLevels[l][parent] = means[2*parent] + means[2*parent+1]
-			st.varLevels[l][parent] = vars[2*parent] + vars[2*parent+1]
 		} else {
-			// Passthrough: bins alias the child; only the scalars copy.
+			// Passthrough: bins alias the child; only the mean copies.
 			st.meanLevels[l][parent] = means[2*parent]
-			st.varLevels[l][parent] = vars[2*parent]
 		}
 		idx = parent
 	}
@@ -357,15 +340,13 @@ func (st *contribState) build(a Assignment) {
 		return
 	}
 	for l := range st.binLevels {
-		children, means, vars := st.childBins(l), st.childMeans(l), st.childVars(l)
+		children, means := st.childBins(l), st.childMeans(l)
 		for j := range st.binLevels[l] {
 			if 2*j+1 < len(children) {
 				psd.AddInto(st.binLevels[l][j], children[2*j], children[2*j+1])
 				st.meanLevels[l][j] = means[2*j] + means[2*j+1]
-				st.varLevels[l][j] = vars[2*j] + vars[2*j+1]
 			} else {
 				st.meanLevels[l][j] = means[2*j]
-				st.varLevels[l][j] = vars[2*j]
 			}
 		}
 	}
@@ -396,72 +377,24 @@ func (st *contribState) rootMean() float64 {
 // field derivations (variance as the canonical bin sum, power from mean
 // and variance).
 func (st *contribState) result() *Result {
-	return st.materialize(st.rootBins(), st.rootMean(), psd.Sum(st.rootBins()), -1, 0, 0)
-}
-
-// materialize builds a Result from root bins, mean and variance,
-// substituting source moveSrc's per-source contribution when moveSrc >= 0.
-// The variance is passed in because the two cached paths derive it
-// differently: assignment evaluation sums the root bins (the full path's
-// derivation, kept bit-stable), while the move path reduces the per-source
-// scalar variances through the contribution tree — the scalar-tier
-// association PowerMoves shares.
-func (st *contribState) materialize(root []float64, rootMean, variance float64, moveSrc int, movePerVar, moveMean float64) *Result {
 	p := st.plan
+	root := st.rootBins()
 	res := &Result{PSD: psd.New(p.npsd)}
 	copy(res.PSD.Bins, root)
-	res.Mean = rootMean
-	res.PSD.Mean = rootMean
-	res.Variance = variance
+	res.Mean = st.rootMean()
+	res.PSD.Mean = res.Mean
+	res.Variance = psd.Sum(root)
 	res.Power = res.Mean*res.Mean + res.Variance
 	sources := p.snap.NoiseSources()
 	res.PerSource = make([]SourceContribution, len(sources))
 	for i, id := range sources {
-		pv, pm := st.perVar[i], st.leafMean[i]
-		if i == moveSrc {
-			pv, pm = movePerVar, moveMean
-		}
 		res.PerSource[i] = SourceContribution{
 			Name:     p.snap.Node(id).Noise.Name,
-			Variance: pv,
-			Mean:     pm,
+			Variance: st.perVar[i],
+			Mean:     st.leafMean[i],
 		}
 	}
 	return res
-}
-
-// resultForMove materializes the result of the state's base assignment
-// with source si moved to frac, without mutating the tree: the moved leaf
-// is accumulated with the untouched sibling nodes along its root path.
-// IEEE-754 addition is commutative bit-for-bit, so the PSD bins, mean and
-// per-source rows are exactly the values a fresh build of the moved
-// assignment produces. Power and Variance, however, come from the same
-// fixed-shape scalar walk PowerMoves runs (the moved σ² from the width
-// table, plus the sibling scalar variances up the root path), so a
-// materialized move and its scalar score are bit-identical by
-// construction; against the bin-summed Variance of the batch paths they
-// agree within the reassociation ulp (1e-12 relative contract).
-func (st *contribState) resultForMove(si, frac int) *Result {
-	p := st.plan
-	m := p.resolveSourceFrac(si, frac)
-	moveVar, moveMean := p.sigmaFor(si, frac)
-	cur := st.moveBins
-	psd.ScaleInto(cur, p.profiles[si].bins, m.Variance)
-	curVar := moveVar
-	curMean := moveMean
-	idx := si
-	for l := range st.binLevels {
-		parent := idx / 2
-		children := st.childBins(l)
-		if 2*parent+1 < len(children) {
-			sib := idx ^ 1
-			psd.AddInto(cur, cur, children[sib])
-			curMean += st.childMeans(l)[sib]
-			curVar += st.childVars(l)[sib]
-		}
-		idx = parent
-	}
-	return st.materialize(cur, curMean, curVar, si, moveVar, moveMean)
 }
 
 // resolveSourceFrac is resolveSource with an explicit width override.
@@ -482,52 +415,13 @@ func (p *graphPlan) evaluateCached(a Assignment) *Result {
 	return res
 }
 
-// evaluateMoves scores single-source width changes against base. On the
-// cached path each move swaps one leaf of a pooled base state — per-worker
-// state checked out of statePool, so concurrent move rounds on one plan
-// never serialize on shared delta state. PSD bins, mean and per-source
-// rows are bit-identical to EvaluateBatch on the moved assignments; Power
-// and Variance are the scalar tier's (bit-identical to PowerMoves, within
-// 1e-12 relative of the batch paths' bin-summed derivation). On the
-// full-propagation fallback the moved assignments are materialized and
-// evaluated through the same code EvaluateBatch runs, where full
-// bit-identity holds at full cost.
-func (p *graphPlan) evaluateMoves(base Assignment, moves []Move, workers int) ([]*Result, error) {
-	if !p.cached {
-		as := make([]Assignment, len(moves))
-		for i, mv := range moves {
-			if !p.isSource(mv.Source) {
-				return nil, fmt.Errorf("core: move on node %d, which is not a noise source", mv.Source)
-			}
-			a := base.Clone()
-			a[mv.Source] = mv.Frac
-			as[i] = a
-		}
-		return p.evaluateAll(as, workers)
-	}
-	for _, mv := range moves {
-		if _, ok := p.srcIndex[mv.Source]; !ok {
-			return nil, fmt.Errorf("core: move on node %d, which is not a noise source", mv.Source)
-		}
-	}
-	st := p.statePool.Get().(*contribState)
-	st.build(base)
-	results := make([]*Result, len(moves))
-	for i, mv := range moves {
-		results[i] = st.resultForMove(p.srcIndex[mv.Source], mv.Frac)
-	}
-	p.statePool.Put(st)
-	return results, nil
-}
-
 // scalarState is the O(1)-per-move scoring tier: the scalar shadow of a
 // contribState. It holds only the per-source scalar contributions (σ², μ)
 // of a base assignment and their reductions through the same fixed-shape
 // pairwise tree, no bins at all. Its leaf values come from the σ² width
-// tables (bit-identical to fillLeaf's scale-then-sum by construction) and
-// its tree additions mirror contribState's scalar additions one for one,
-// so a powerForMove score equals the Power field of the corresponding
-// resultForMove bit-for-bit while touching O(log S) scalars.
+// tables (bit-identical to fillLeaf's scale-then-sum by construction), so
+// a powerForMove score is the moved assignment's power with the variance
+// summed per source instead of per bin, touching O(log S) scalars.
 type scalarState struct {
 	plan *graphPlan
 
@@ -582,9 +476,8 @@ func (ss *scalarState) childMeans(l int) []float64 {
 	return ss.meanLevels[l-1]
 }
 
-// combinePath recombines the scalar ancestors of leaf i, bottom-up,
-// performing the same additions contribState.combinePath performs on its
-// scalar columns.
+// combinePath recombines the scalar ancestors of leaf i, bottom-up, in
+// the tree order contribState.combinePath uses for its bins.
 func (ss *scalarState) combinePath(i int) {
 	idx := i
 	for l := range ss.varLevels {
@@ -642,9 +535,8 @@ func (ss *scalarState) build(a Assignment) {
 }
 
 // powerForMove scores the base assignment with source si moved to frac:
-// one σ²-table lookup plus the fixed-shape scalar walk up the tree — the
-// exact scalar operations resultForMove performs, hence bit-identical to
-// its Power, at O(log S) cost with no per-bin traffic.
+// one σ²-table lookup plus the fixed-shape scalar walk up the tree, at
+// O(log S) cost with no per-bin traffic. The base state is not mutated.
 func (ss *scalarState) powerForMove(si, frac int) float64 {
 	curVar, curMean := ss.plan.sigmaFor(si, frac)
 	idx := si
@@ -663,29 +555,32 @@ func (ss *scalarState) powerForMove(si, frac int) float64 {
 
 // powerMoves is the scalar scoring entry: output powers only, one table
 // lookup plus a scalar leaf-swap per move on cached plans. On the
-// full-propagation fallback it materializes Results through evaluateMoves
-// (so powers remain bit-identical to that path there too) and extracts
-// their powers.
+// full-propagation fallback it evaluates the moved assignments through
+// evaluateAll, the code EvaluateBatch runs, and extracts their powers.
 func (p *graphPlan) powerMoves(base Assignment, moves []Move, workers int) ([]float64, error) {
-	if !p.cached {
-		rs, err := p.evaluateMoves(base, moves, workers)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]float64, len(rs))
-		for i, r := range rs {
-			out[i] = r.Power
-		}
-		return out, nil
-	}
 	for _, mv := range moves {
 		if _, ok := p.srcIndex[mv.Source]; !ok {
 			return nil, fmt.Errorf("core: move on node %d, which is not a noise source", mv.Source)
 		}
 	}
+	out := make([]float64, len(moves))
+	if !p.cached {
+		as := make([]Assignment, len(moves))
+		for i, mv := range moves {
+			as[i] = base.Clone()
+			as[i][mv.Source] = mv.Frac
+		}
+		rs, err := p.evaluateAll(as, workers)
+		if err != nil {
+			return nil, err
+		}
+		for i, r := range rs {
+			out[i] = r.Power
+		}
+		return out, nil
+	}
 	ss := p.scalarPool.Get().(*scalarState)
 	ss.build(base)
-	out := make([]float64, len(moves))
 	for i, mv := range moves {
 		out[i] = ss.powerForMove(p.srcIndex[mv.Source], mv.Frac)
 	}
@@ -693,19 +588,10 @@ func (p *graphPlan) powerMoves(base Assignment, moves []Move, workers int) ([]fl
 	return out, nil
 }
 
-func (p *graphPlan) isSource(id sfg.NodeID) bool {
-	for _, s := range p.snap.NoiseSources() {
-		if s == id {
-			return true
-		}
-	}
-	return false
-}
-
 // EvalMode names the evaluation path a plan settled on.
 const (
 	// EvalModeCached: per-source transfer profiles validated; evaluation is
-	// a fused multiply-accumulate and moves take the delta path.
+	// a fused multiply-accumulate and moves score from the σ² tables.
 	EvalModeCached = "cached"
 	// EvalModeFull: profiles unavailable (nonlinear topology or forced);
 	// every call runs the full per-source propagation.

@@ -118,87 +118,49 @@ func movesOf(base Assignment, sources []sfg.NodeID, lo, hi int, rng *rand.Rand) 
 	return moves
 }
 
-// moveResultEqual pins the move tier's contract against a batch-path
-// result for the same moved assignment: PSD bins, mean and per-source
-// rows bit-identical; Power and Variance within 1e-12 relative (the move
-// tier reduces the per-source scalar variances through the contribution
-// tree, the batch tier sums the root bins — the same real sum under a
-// different association) and self-consistent (Power = Mean² + Variance
-// exactly).
-func moveResultEqual(t *testing.T, label string, move, batch *Result) {
-	t.Helper()
-	if move.Mean != batch.Mean {
-		t.Fatalf("%s: means diverge: %g vs %g", label, move.Mean, batch.Mean)
-	}
-	if len(move.PSD.Bins) != len(batch.PSD.Bins) {
-		t.Fatalf("%s: PSD grids differ", label)
-	}
-	for k := range move.PSD.Bins {
-		if move.PSD.Bins[k] != batch.PSD.Bins[k] {
-			t.Fatalf("%s: PSD bin %d differs: %g vs %g", label, k, move.PSD.Bins[k], batch.PSD.Bins[k])
-		}
-	}
-	if len(move.PerSource) != len(batch.PerSource) {
-		t.Fatalf("%s: per-source lengths differ", label)
-	}
-	for i := range move.PerSource {
-		if move.PerSource[i] != batch.PerSource[i] {
-			t.Fatalf("%s: per-source %d differs: %+v vs %+v", label, i, move.PerSource[i], batch.PerSource[i])
-		}
-	}
-	relClose := func(x, y float64) bool {
-		if x == y {
-			return true
-		}
-		scale := math.Max(math.Abs(x), math.Abs(y))
-		return math.Abs(x-y) <= 1e-12*scale
-	}
-	if !relClose(move.Power, batch.Power) || !relClose(move.Variance, batch.Variance) {
-		t.Fatalf("%s: power/variance outside 1e-12: (P=%g V=%g) vs (P=%g V=%g)",
-			label, move.Power, move.Variance, batch.Power, batch.Variance)
-	}
-	if move.Power != move.Mean*move.Mean+move.Variance {
-		t.Fatalf("%s: move result not self-consistent: P=%g, M²+V=%g",
-			label, move.Power, move.Mean*move.Mean+move.Variance)
-	}
+// relClose reports agreement within 1e-12 relative — the contract between
+// the scalar move scores and the batch paths (the same real sum,
+// associated per source instead of per bin).
+func relClose(x, y float64) bool {
+	return x == y || math.Abs(x-y) <= 1e-12*math.Max(math.Abs(x), math.Abs(y))
 }
 
-// TestEvaluateMovesEquivalence is the incremental-versus-full property
-// sweep: for every registry system and random width assignments, at worker
-// pools of 1 and 4, EvaluateMoves must reproduce EvaluateBatch (and
-// per-call EvaluateAssignment) on the equivalently moved assignments —
-// PSDs, means and per-source rows bit-identically, powers and variances
-// through the scalar tier's derivation within the documented 1e-12 — and
-// PowerMoves must be bit-identical to the Power fields EvaluateMoves
-// reports (the acceptance property of the scalar tier: all three share
-// the same table lookups and fixed-shape scalar walk).
+// movedAssignments applies each move independently to base.
+func movedAssignments(base Assignment, moves []Move) []Assignment {
+	as := make([]Assignment, len(moves))
+	for i, mv := range moves {
+		as[i] = base.Clone()
+		as[i][mv.Source] = mv.Frac
+	}
+	return as
+}
+
+// TestEvaluateMovesEquivalence is the scalar-versus-batch property sweep:
+// for every registry system and random width assignments, at worker pools
+// of 1 and 4, PowerMoves must agree within 1e-12 relative with the powers
+// EvaluateBatch and per-call EvaluateAssignment report for the
+// equivalently moved assignments (which are bit-identical to each other),
+// and must be bit-identical across the two pool widths.
 func TestEvaluateMovesEquivalence(t *testing.T) {
 	const lo, hi = 4, 20
 	rng := rand.New(rand.NewSource(7))
 	for name, g := range registryGraphs(t, 14) {
 		sources := g.NoiseSources()
-		for _, workers := range []int{1, 4} {
-			eng := NewEngine(128, workers)
-			for trial := 0; trial < 3; trial++ {
-				base := make(Assignment, len(sources))
-				for _, id := range sources {
-					base[id] = lo + rng.Intn(hi-lo+1)
-				}
-				moves := movesOf(base, sources, lo, hi, rng)
-				got, err := eng.EvaluateMoves(g, base, moves)
-				if err != nil {
-					t.Fatalf("%s w=%d: moves: %v", name, workers, err)
-				}
+		engines := map[int]*Engine{1: NewEngine(128, 1), 4: NewEngine(128, 4)}
+		for trial := 0; trial < 3; trial++ {
+			base := make(Assignment, len(sources))
+			for _, id := range sources {
+				base[id] = lo + rng.Intn(hi-lo+1)
+			}
+			moves := movesOf(base, sources, lo, hi, rng)
+			as := movedAssignments(base, moves)
+			byWorkers := map[int][]float64{}
+			for workers, eng := range engines {
 				powers, err := eng.PowerMoves(g, base, moves)
 				if err != nil {
 					t.Fatalf("%s w=%d: powers: %v", name, workers, err)
 				}
-				as := make([]Assignment, len(moves))
-				for i, mv := range moves {
-					a := base.Clone()
-					a[mv.Source] = mv.Frac
-					as[i] = a
-				}
+				byWorkers[workers] = powers
 				batch, err := eng.EvaluateBatch(g, as)
 				if err != nil {
 					t.Fatalf("%s w=%d: batch: %v", name, workers, err)
@@ -208,12 +170,17 @@ func TestEvaluateMovesEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s w=%d: single: %v", name, workers, err)
 					}
-					if powers[i] != got[i].Power {
-						t.Fatalf("%s w=%d: scalar move score %.17g diverges from EvaluateMoves power %.17g",
-							name, workers, powers[i], got[i].Power)
+					resultsEqual(t, name+"/batch-vs-single", batch[i], single, 0)
+					if !relClose(powers[i], batch[i].Power) {
+						t.Fatalf("%s w=%d: move %d scalar score %.17g vs batch power %.17g beyond 1e-12",
+							name, workers, i, powers[i], batch[i].Power)
 					}
-					moveResultEqual(t, name+"/moves-vs-batch", got[i], batch[i])
-					moveResultEqual(t, name+"/moves-vs-single", got[i], single)
+				}
+			}
+			for i := range moves {
+				if byWorkers[1][i] != byWorkers[4][i] {
+					t.Fatalf("%s: move %d scalar score differs across worker counts: %.17g vs %.17g",
+						name, i, byWorkers[1][i], byWorkers[4][i])
 				}
 			}
 		}
@@ -222,10 +189,10 @@ func TestEvaluateMovesEquivalence(t *testing.T) {
 
 // TestPowerMovesAgainstFullPropagation closes the tier chain: the scalar
 // move scores of a cached plan agree with the full per-source propagation
-// reference — the same moves materialized on a forced-full engine — within
-// the 1e-12 relative contract, for every registry system. On the forced
-// engine itself PowerMoves falls back through the materialized path and is
-// bit-identical to its EvaluateMoves powers.
+// reference — the moved assignments evaluated on a forced-full engine —
+// within the 1e-12 relative contract, for every registry system. On the
+// forced engine itself PowerMoves evaluates the moved assignments through
+// the batch path and is bit-identical to its EvaluateAssignment powers.
 func TestPowerMovesAgainstFullPropagation(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for name, g := range registryGraphs(t, 14) {
@@ -238,31 +205,31 @@ func TestPowerMovesAgainstFullPropagation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: scalar: %v", name, err)
 		}
-		ref, err := full.EvaluateMoves(g, base, moves)
-		if err != nil {
-			t.Fatalf("%s: full: %v", name, err)
-		}
 		fullPowers, err := full.PowerMoves(g, base, moves)
 		if err != nil {
 			t.Fatalf("%s: full powers: %v", name, err)
 		}
-		for i := range moves {
-			if rel := math.Abs(scalar[i]-ref[i].Power) / math.Max(scalar[i], ref[i].Power); rel > 1e-12 {
-				t.Fatalf("%s: move %d scalar power %g vs full-propagation %g (rel %g)",
-					name, i, scalar[i], ref[i].Power, rel)
+		for i, a := range movedAssignments(base, moves) {
+			ref, err := full.EvaluateAssignment(g, a)
+			if err != nil {
+				t.Fatalf("%s: full: %v", name, err)
 			}
-			if fullPowers[i] != ref[i].Power {
-				t.Fatalf("%s: forced-full PowerMoves %g diverges from its EvaluateMoves %g",
-					name, fullPowers[i], ref[i].Power)
+			if !relClose(scalar[i], ref.Power) {
+				t.Fatalf("%s: move %d scalar power %g vs full-propagation %g beyond 1e-12",
+					name, i, scalar[i], ref.Power)
+			}
+			if fullPowers[i] != ref.Power {
+				t.Fatalf("%s: forced-full PowerMoves %g diverges from its EvaluateAssignment %g",
+					name, fullPowers[i], ref.Power)
 			}
 		}
 	}
 }
 
-// TestEvaluateMovesFallback: on a forced full-propagation plan the move
-// path materializes assignments through the same propagation EvaluateBatch
-// runs, so bit-identity holds there too — the fallback degrades cost, not
-// the contract.
+// TestEvaluateMovesFallback: on a forced full-propagation plan PowerMoves
+// evaluates the moved assignments through the same propagation
+// EvaluateBatch runs, so bit-identity with the assignment path holds there
+// too — the fallback degrades cost, not the contract.
 func TestEvaluateMovesFallback(t *testing.T) {
 	g, err := systems.NewDWT().Graph(14)
 	if err != nil {
@@ -273,18 +240,18 @@ func TestEvaluateMovesFallback(t *testing.T) {
 	base := AssignmentOf(g)
 	rng := rand.New(rand.NewSource(3))
 	moves := movesOf(base, g.NoiseSources(), 4, 20, rng)
-	got, err := eng.EvaluateMoves(g, base, moves)
+	got, err := eng.PowerMoves(g, base, moves)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, mv := range moves {
-		a := base.Clone()
-		a[mv.Source] = mv.Frac
+	for i, a := range movedAssignments(base, moves) {
 		want, err := eng.EvaluateAssignment(g, a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resultsEqual(t, "fallback", got[i], want, 0)
+		if got[i] != want.Power {
+			t.Fatalf("fallback move %d: power %.17g, want %.17g", i, got[i], want.Power)
+		}
 	}
 }
 
@@ -305,17 +272,17 @@ func TestEvaluateMovesErrors(t *testing.T) {
 	for _, force := range []bool{false, true} {
 		eng := NewEngine(64, 1)
 		eng.SetFullPropagation(force)
-		if rs, err := eng.EvaluateMoves(g, AssignmentOf(g), nil); err != nil || rs != nil {
-			t.Fatalf("force=%v: empty moves: %v, %v", force, rs, err)
+		if ps, err := eng.PowerMoves(g, AssignmentOf(g), nil); err != nil || ps != nil {
+			t.Fatalf("force=%v: empty moves: %v, %v", force, ps, err)
 		}
-		if _, err := eng.EvaluateMoves(g, AssignmentOf(g), []Move{{Source: notSource, Frac: 8}}); err == nil {
+		if _, err := eng.PowerMoves(g, AssignmentOf(g), []Move{{Source: notSource, Frac: 8}}); err == nil {
 			t.Fatalf("force=%v: move on non-source node should fail", force)
 		}
 	}
 }
 
-// TestEvaluateMovesConcurrent hammers the shared delta state from many
-// goroutines alongside batch evaluations; every result must match the
+// TestEvaluateMovesConcurrent hammers the pooled scalar state from many
+// goroutines alongside full evaluations; every score must match the
 // serial reference (and -race must stay quiet).
 func TestEvaluateMovesConcurrent(t *testing.T) {
 	g, err := systems.NewDWT().Graph(14)
@@ -326,7 +293,7 @@ func TestEvaluateMovesConcurrent(t *testing.T) {
 	base := AssignmentOf(g)
 	sources := g.NoiseSources()
 	moves := []Move{{Source: sources[0], Frac: 9}, {Source: sources[len(sources)-1], Frac: 6}}
-	want, err := eng.EvaluateMoves(g, base, moves)
+	want, err := eng.PowerMoves(g, base, moves)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,8 +306,8 @@ func TestEvaluateMovesConcurrent(t *testing.T) {
 		go func(w int) {
 			for rep := 0; rep < 20; rep++ {
 				if (w+rep)%2 == 0 {
-					rs, err := eng.EvaluateMoves(g, base, moves)
-					if err == nil && (rs[0].Power != want[0].Power || rs[1].Power != want[1].Power) {
+					ps, err := eng.PowerMoves(g, base, moves)
+					if err == nil && (ps[0] != want[0] || ps[1] != want[1]) {
 						err = errPowerMismatch
 					}
 					if err != nil {

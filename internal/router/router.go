@@ -454,12 +454,17 @@ func clientCaused(r *http.Request, err error) bool {
 // predates this router instance). When the fan-out path identified the
 // owner, the snapshot it fetched doing so is returned alongside, so get
 // needn't re-fetch; a nil info means the affinity map answered and no
-// snapshot was taken.
+// snapshot was taken. A job whose mapped holder is ejected answers
+// ErrNoBackend, which clients retry, not a not-found: the job exists.
 func (rt *Router) locate(r *http.Request, id string) (string, *api.Client, *service.JobInfo, error) {
-	if addr, ok := rt.jobs.get(id); ok && rt.pool.Healthy(addr) {
-		return addr, rt.pool.Client(addr), nil, nil
+	owner, known := rt.jobs.get(id)
+	if known && rt.pool.Healthy(owner) {
+		return owner, rt.pool.Client(owner), nil, nil
 	}
 	var lastErr error = service.ErrNotFound
+	if known {
+		lastErr = ErrNoBackend
+	}
 	for _, addr := range rt.pool.Ring().Addrs() {
 		if !rt.pool.Healthy(addr) {
 			continue

@@ -3,6 +3,7 @@ package router
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -105,6 +106,31 @@ func TestClientCancelDoesNotEject(t *testing.T) {
 	}
 	if total := b1.posts.Load() + b2.posts.Load(); total != 1 {
 		t.Errorf("submit proxied %d times, want 1 (no ring walk for a vanished client)", total)
+	}
+}
+
+// TestLocateEjectedHolderIsRetryable: a job whose holder the router knows
+// but has ejected is out of reach, not missing — GET answers no_backend,
+// which clients retry, instead of a not_found they would give up on.
+func TestLocateEjectedHolderIsRetryable(t *testing.T) {
+	b1, b2 := newModeBackend(t), newModeBackend(t)
+	rt := New(Config{Pool: PoolConfig{Backends: []string{b1.ts.URL, b2.ts.URL}}})
+	ts := httptest.NewServer(rt.Handler())
+	t.Cleanup(ts.Close)
+
+	resp := submitProbe(t, ts)
+	var info service.JobInfo
+	err := json.NewDecoder(resp.Body).Decode(&info)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d, %v", resp.StatusCode, err)
+	}
+	rt.Pool().ReportFailure(resp.Header.Get(BackendHeader), errors.New("injected"))
+
+	_, err = api.NewClient(ts.URL).Job(context.Background(), info.ID)
+	var apiErr *api.Error
+	if !errors.As(err, &apiErr) || apiErr.Code != api.CodeNoBackend {
+		t.Fatalf("job on an ejected holder: %v; want code %s", err, api.CodeNoBackend)
 	}
 }
 

@@ -231,7 +231,10 @@ func errCode(err error) string {
 // publishLocked appends an event to the history and fans it out; j.mu must
 // be held. Sends never block: a subscriber that stops draining loses
 // events rather than stalling the worker (channels are buffered generously,
-// and every subscriber got the full history on subscription).
+// and every subscriber got the full history on subscription). The
+// terminal event is never the one lost: on a full buffer it displaces the
+// oldest pending event. This is the only sender, under j.mu, so the
+// displaced slot stays free for it.
 func (j *job) publishLocked(ev Event) {
 	ev.Seq = len(j.events) + 1
 	ev.JobID = j.id
@@ -243,6 +246,13 @@ func (j *job) publishLocked(ev Event) {
 		select {
 		case ch <- ev:
 		default:
+			if ev.Terminal {
+				select {
+				case <-ch:
+				default:
+				}
+				ch <- ev
+			}
 		}
 	}
 	if ev.Terminal {

@@ -360,6 +360,48 @@ func TestWatchReplaysHistory(t *testing.T) {
 	}
 }
 
+// TestLaggingWatcherGetsTerminal: a watcher that falls further behind
+// than its channel buffer may lose progress events, but never the
+// terminal one. It subscribes before a 3000-round anneal starts and reads
+// nothing until the job is done.
+func TestLaggingWatcherGetsTerminal(t *testing.T) {
+	m := testManager(t, Config{Workers: 1})
+	opts := testOptions("anneal")
+	opts.AnnealRounds = 3000
+	info, err := m.Submit(Request{System: "dwt97(fig3)", Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, stop, err := m.Watch(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	waitDone(t, m, info.ID)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var last Event
+	terminals := 0
+	for drained := false; !drained; {
+		select {
+		case ev, ok := <-ch:
+			if !ok {
+				drained = true
+				break
+			}
+			last = ev
+			if ev.Terminal {
+				terminals++
+			}
+		case <-ctx.Done():
+			t.Fatal("watch channel never closed")
+		}
+	}
+	if terminals != 1 || !last.Terminal || last.State != JobDone {
+		t.Fatalf("lagging watcher saw %d terminal events, last %+v; want exactly one, done, last", terminals, last)
+	}
+}
+
 func TestSystemsListing(t *testing.T) {
 	m := testManager(t, Config{})
 	list, err := m.Systems()

@@ -92,9 +92,9 @@ func (annealStrategy) Run(o *Oracle, opt Options) (*Result, error) {
 			moves = append(moves, core.Move{Source: id, Frac: a[id]})
 		}
 		// Each proposal is a single-source change off cur, so the round is
-		// scored through the oracle's move path (delta evaluation on
-		// move-capable evaluators); the materialized assignments are kept
-		// for the acceptance bookkeeping below.
+		// scored through the oracle's move path (scalar move scores on
+		// core.Engine); the proposed assignments are kept for the
+		// acceptance bookkeeping below.
 		ps, err := o.PowersMoves(cur, moves)
 		if err != nil {
 			return nil, err

@@ -60,12 +60,12 @@ func (ascentStrategy) Run(o *Oracle, opt Options) (*Result, error) {
 
 // climb runs the greedy bit-addition loop from cur (whose power is the
 // second argument) until the budget is met, scoring every step's candidate
-// increments as one oracle round of Moves against the incumbent — the
-// delta path on move-capable evaluators. It returns the first feasible
-// assignment and its power. A cancelled run returns the incumbent even
-// though it is still over budget — the caller reports it with the
-// Cancelled flag. It is the core of the ascent strategy and the first
-// phase of the hybrid strategy.
+// increments as one oracle round of Moves against the incumbent (scalar
+// move scores on core.Engine). It returns the first feasible assignment
+// and its power. A cancelled run returns the incumbent even though it is
+// still over budget — the caller reports it with the Cancelled flag. It is
+// the core of the ascent strategy and the first phase of the hybrid
+// strategy.
 func climb(o *Oracle, opt Options, cur core.Assignment, power float64) (core.Assignment, float64, error) {
 	type cand struct {
 		id    sfg.NodeID

@@ -8,7 +8,7 @@ import (
 	"repro/internal/sfg"
 )
 
-// cancellingOracle wraps a move-capable evaluator and fires a
+// cancellingOracle wraps a move-scoring evaluator and fires a
 // context.CancelFunc after a fixed number of oracle calls, so each strategy
 // can be interrupted at a deterministic point mid-search.
 type cancellingOracle struct {
@@ -37,12 +37,12 @@ func (c *cancellingOracle) EvaluateBatch(g *sfg.Graph, as []core.Assignment) ([]
 	return c.eng.EvaluateBatch(g, as)
 }
 
-func (c *cancellingOracle) EvaluateMoves(g *sfg.Graph, base core.Assignment, moves []core.Move) ([]*core.Result, error) {
+func (c *cancellingOracle) PowerMoves(g *sfg.Graph, base core.Assignment, moves []core.Move) ([]float64, error) {
 	c.bump()
-	return c.eng.EvaluateMoves(g, base, moves)
+	return c.eng.PowerMoves(g, base, moves)
 }
 
-var _ core.MoveEvaluator = (*cancellingOracle)(nil)
+var _ core.MovePowerEvaluator = (*cancellingOracle)(nil)
 
 func cancelOptions(t *testing.T, ev core.Evaluator, ctx context.Context) Options {
 	t.Helper()

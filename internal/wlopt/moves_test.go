@@ -9,8 +9,8 @@ import (
 	"repro/internal/sfg"
 )
 
-// batchOnlyEvaluator hides core.Engine's move path, forcing the oracle's
-// materialize-assignments fallback. Strategies must behave identically —
+// batchOnlyEvaluator hides core.Engine's PowerMoves, forcing the oracle to
+// score moves as full assignments. Strategies must behave identically —
 // same assignment, same power, same oracle-call count — whichever path
 // scores their candidate moves.
 type batchOnlyEvaluator struct {
@@ -28,9 +28,10 @@ func (b batchOnlyEvaluator) EvaluateBatch(g *sfg.Graph, as []core.Assignment) ([
 }
 
 // TestStrategiesMovePathEquivalence: every registered strategy run with the
-// move-capable engine equals the same run with the move path hidden —
-// bit-identical results and identical Result.Evaluations, pinning both the
-// delta evaluation and the oracle-call accounting of PowersMoves.
+// engine's scalar move scores (PowerMoves) equals the same run with them
+// hidden — bit-identical results and identical Result.Evaluations, pinning
+// both the scalar scoring path and the oracle-call accounting of
+// PowersMoves.
 func TestStrategiesMovePathEquivalence(t *testing.T) {
 	for _, name := range Strategies() {
 		for _, graph := range []string{"two-stage", "dwt"} {
@@ -80,20 +81,20 @@ func TestPowersMovesAccounting(t *testing.T) {
 	}
 
 	withMoves := newOracle(g, opt)
-	if withMoves.mover == nil {
-		t.Fatal("default engine should be move-capable")
+	if withMoves.scorer == nil {
+		t.Fatal("default engine should score moves through PowerMoves")
 	}
 	p1, err := withMoves.PowersMoves(base, moves)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if withMoves.Evaluations() != len(moves) {
-		t.Fatalf("delta path counted %d calls, want %d", withMoves.Evaluations(), len(moves))
+		t.Fatalf("scalar path counted %d calls, want %d", withMoves.Evaluations(), len(moves))
 	}
 
 	opt.Evaluator = batchOnlyEvaluator{eng: core.NewEngine(256, 1)}
 	fallback := newOracle(g, opt)
-	if fallback.mover != nil {
+	if fallback.scorer != nil {
 		t.Fatal("batch-only wrapper leaked the move path")
 	}
 	p2, err := fallback.PowersMoves(base, moves)

@@ -128,7 +128,6 @@ type Oracle struct {
 	sources     []sfg.NodeID
 	ev          core.Evaluator
 	batch       core.BatchEvaluator
-	mover       core.MoveEvaluator
 	scorer      core.MovePowerEvaluator
 	weight      func(string) float64
 	evaluations int
@@ -152,9 +151,6 @@ func newOracle(g *sfg.Graph, opt Options) *Oracle {
 		ctx: ctx, progress: opt.Progress}
 	if b, ok := ev.(core.BatchEvaluator); ok {
 		o.batch = b
-	}
-	if m, ok := ev.(core.MoveEvaluator); ok {
-		o.mover = m
 	}
 	if s, ok := ev.(core.MovePowerEvaluator); ok {
 		o.scorer = s
@@ -257,26 +253,15 @@ func (o *Oracle) powersOf(as []core.Assignment) ([]float64, error) {
 // oracle call, exactly like scoring the equivalent full assignment through
 // Powers, so strategies switching between the paths keep identical
 // Result.Evaluations. Scalar-capable evaluators (core.Engine) score each
-// move as one σ²-table lookup plus a scalar leaf swap — O(1) per move, no
-// Result materialization; move-capable evaluators take the per-bin delta
-// path (whose Power fields are bit-identical to the scalar scores); other
-// evaluators fall back to materializing the moved assignments, agreeing
-// within the documented 1e-12 relative contract.
+// move through PowerMoves — one σ²-table lookup plus a scalar leaf swap,
+// O(1) per move, no Result materialization. Other evaluators, such as the
+// PSDEvaluator reference, fall back to scoring the moved assignments
+// through Powers' path, agreeing within the documented 1e-12 relative
+// contract.
 func (o *Oracle) PowersMoves(base core.Assignment, moves []core.Move) ([]float64, error) {
 	o.evaluations += len(moves)
 	if o.scorer != nil {
 		return o.scorer.PowerMoves(o.g, base, moves)
-	}
-	if o.mover != nil {
-		rs, err := o.mover.EvaluateMoves(o.g, base, moves)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]float64, len(rs))
-		for i, r := range rs {
-			out[i] = r.Power
-		}
-		return out, nil
 	}
 	as := make([]core.Assignment, len(moves))
 	for i, mv := range moves {
