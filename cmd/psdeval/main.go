@@ -255,10 +255,11 @@ func run(specPath, sysName string, frac int, mode string, reps, npsd int, storeD
 		if err != nil {
 			return fmt.Errorf("simulation: %w", err)
 		}
-		fmt.Printf("%-16s power %.6g  (SQNR %.1f dB, %d samples)\n",
-			"simulation", sim.Power, sim.SQNR(), sim.Samples)
+		fmt.Printf("%-16s power %.6g ± %.2g  (SQNR %.1f dB, %d samples)\n",
+			"simulation", sim.Power, sim.PowerSE, sim.SQNR(), sim.Samples)
 		for name, res := range results {
-			fmt.Printf("  Ed[%s] = %s\n", name, core.EdPercent(stats.Ed(sim.Power, res.Power)))
+			fmt.Printf("  Ed[%s] = %s ± %.2f%%\n", name, core.EdPercent(stats.Ed(sim.Power, res.Power)),
+				100*stats.EdSE(sim.Power, sim.PowerSE, res.Power))
 		}
 	}
 	// Per-source breakdown for the proposed method.

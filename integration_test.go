@@ -136,7 +136,7 @@ func TestEndToEndStreamingAtScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := fxsim.RunStreaming(g, fxsim.Config{Samples: 1 << 21, Seed: 3}, 8192)
+	sim, err := fxsim.Run(g, fxsim.Config{Samples: 1 << 21, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

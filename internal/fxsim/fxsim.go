@@ -4,6 +4,12 @@
 // with every block output quantized onto its 2^-d grid (the fixed-point
 // run) — and measures the statistics and spectrum of the output error.
 // This is the "simulation" column of every experiment in the paper.
+//
+// There is one simulator. It pushes the stimulus through both executions
+// a fixed-length chunk at a time, with every node's state carried between
+// chunks, so its memory does not grow with Config.Samples unless the error
+// signal is kept (PSDBins or KeepError) and its results do not depend on
+// the chunk length. The stimulus is i.i.d. uniform white noise on [-1, 1).
 package fxsim
 
 import (
@@ -12,57 +18,22 @@ import (
 	"math/rand"
 
 	"repro/internal/dsp"
-	"repro/internal/filter"
-	"repro/internal/fixed"
 	"repro/internal/psd"
 	"repro/internal/sfg"
 	"repro/internal/stats"
 )
 
-// InputKind selects the built-in stimulus generator.
-type InputKind int
-
-const (
-	// UniformWhite draws i.i.d. samples from U[-1, 1). This satisfies the
-	// PQN model's whiteness assumptions and is the default stimulus.
-	UniformWhite InputKind = iota
-	// GaussianWhite draws i.i.d. N(0, 0.1) samples (clipped to +-1).
-	GaussianWhite
-	// Pink generates 1/f-shaped noise normalized to unit peak, matching
-	// the aggregate spectral statistics of natural images (the substitute
-	// for the paper's image corpora).
-	Pink
-	// Multitone sums a handful of incommensurate sinusoids, a classic
-	// filter-evaluation stimulus.
-	Multitone
-)
-
-// String implements fmt.Stringer.
-func (k InputKind) String() string {
-	switch k {
-	case UniformWhite:
-		return "uniform-white"
-	case GaussianWhite:
-		return "gaussian-white"
-	case Pink:
-		return "pink"
-	case Multitone:
-		return "multitone"
-	default:
-		return fmt.Sprintf("InputKind(%d)", int(k))
-	}
-}
-
 // Config parameterizes a simulation run.
 type Config struct {
 	// Samples is the stimulus length (the paper uses 1e6-1e7).
 	Samples int
-	// Seed seeds the deterministic stimulus generator.
+	// Seed seeds the deterministic stimulus generator. The first generated
+	// input draws from Seed itself; further inputs and every override
+	// noise source draw from their own streams derived from Seed and the
+	// node ID.
 	Seed int64
-	// Input selects the built-in stimulus.
-	Input InputKind
 	// InputSignals overrides generation: per-input-node stimulus keyed by
-	// node ID. When set, Samples/Seed/Input are ignored for those nodes.
+	// node ID. When set, Samples/Seed are ignored for those nodes.
 	InputSignals map[sfg.NodeID][]float64
 	// PSDBins, when >= 2, requests a Welch estimate of the error spectrum
 	// on that many bins.
@@ -81,6 +52,10 @@ type Config struct {
 type Outcome struct {
 	// Power is E[err^2], the simulated output error power.
 	Power float64
+	// PowerSE is the standard error of Power, from the spread of the mean
+	// of err^2 over consecutive batches of 1024 output samples. It is NaN
+	// when fewer than two batches complete.
+	PowerSE float64
 	// Mean and Variance decompose Power.
 	Mean     float64
 	Variance float64
@@ -97,8 +72,50 @@ type Outcome struct {
 // SQNR returns the signal-to-quantization-noise ratio in dB.
 func (o *Outcome) SQNR() float64 { return stats.SQNR(o.RefPower, o.Power) }
 
+// chunkLen is the number of samples per input that Run pushes through the
+// engines at a time. Outcomes do not depend on it; it trades per-chunk
+// overhead against the cache footprint of the per-node buffers.
+const chunkLen = 4096
+
+// seBatch is the batch length, in output samples, of the batch means
+// behind Outcome.PowerSE. It is independent of chunkLen, so PowerSE does
+// not depend on the chunking either.
+const seBatch = 1024
+
 // Run simulates the graph and returns the measured error statistics.
 func Run(g *sfg.Graph, cfg Config) (*Outcome, error) {
+	acc, err := simulate(g, cfg, chunkLen)
+	if err != nil {
+		return nil, err
+	}
+	return acc.outcome()
+}
+
+// Measure is the simulator for a system implemented outside the graph
+// engine. It draws cfg.Samples stimulus samples from cfg.Seed — the
+// stimulus Run feeds a one-input graph — and passes them to sim. Then it
+// measures sim's fixed-point output against its reference output with
+// Run's accumulator.
+func Measure(cfg Config, sim func(x []float64) (ref, fx []float64, err error)) (*Outcome, error) {
+	if cfg.Samples <= 0 {
+		return nil, fmt.Errorf("fxsim: non-positive sample count %d", cfg.Samples)
+	}
+	x := make([]float64, cfg.Samples)
+	draw(rand.New(rand.NewSource(cfg.Seed)), x)
+	ref, fx, err := sim(x)
+	if err != nil {
+		return nil, err
+	}
+	acc := &accumulator{cfg: cfg}
+	acc.add(ref, fx)
+	return acc.outcome()
+}
+
+// simulate is the simulator behind Run, RunParallel and the tests: it
+// validates the graph, builds the reference and fixed-point engines, and
+// pushes every input through both, chunk samples at a time, into one
+// accumulator.
+func simulate(g *sfg.Graph, cfg Config, chunk int) (*accumulator, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -106,208 +123,154 @@ func Run(g *sfg.Graph, cfg Config) (*Outcome, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fxsim: %w (simulation requires an acyclic graph; model feedback as IIR blocks)", err)
 	}
-	outID, err := g.OutputNode()
+	srcs, err := newSources(g, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Samples <= 0 && len(cfg.InputSignals) == 0 {
-		return nil, fmt.Errorf("fxsim: non-positive sample count %d", cfg.Samples)
+	ref, err := newEngine(g, order, false, cfg.Seed)
+	if err != nil {
+		return nil, err
 	}
-	// Generate stimuli.
-	inputs := make(map[sfg.NodeID][]float64)
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	fx, err := newEngine(g, order, true, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	acc := &accumulator{cfg: cfg}
+	x := make([][]float64, len(srcs))
+	for more := true; more; {
+		more = false
+		for i := range srcs {
+			x[i] = srcs[i].next(chunk)
+			more = more || len(x[i]) > 0
+		}
+		// The last push carries no input and flushes what adders hold.
+		acc.add(ref.push(x, !more), fx.push(x, !more))
+	}
+	return acc, nil
+}
+
+// draw fills x with the stimulus: i.i.d. uniform white noise on [-1, 1),
+// which satisfies the PQN model's whiteness assumptions. Successive draws
+// from one stream concatenate to a single long draw, so the stimulus does
+// not depend on the chunk length.
+func draw(rng *rand.Rand, x []float64) {
+	for i := range x {
+		x[i] = rng.Float64()*2 - 1
+	}
+}
+
+// source feeds one graph input: a slice of Config.InputSignals, or the
+// stimulus drawn from the input's own stream.
+type source struct {
+	sig  []float64  // provided samples not yet pushed
+	rng  *rand.Rand // stimulus stream; nil for a provided signal
+	left int        // stimulus samples still to draw
+	buf  buffer
+}
+
+func newSources(g *sfg.Graph, cfg Config) ([]source, error) {
+	var srcs []source
+	seed := cfg.Seed
 	for _, id := range g.Inputs() {
 		if sig, ok := cfg.InputSignals[id]; ok {
-			inputs[id] = sig
+			srcs = append(srcs, source{sig: sig})
 			continue
 		}
-		inputs[id] = Generate(cfg.Input, cfg.Samples, rng)
+		if cfg.Samples <= 0 {
+			return nil, fmt.Errorf("fxsim: non-positive sample count %d", cfg.Samples)
+		}
+		srcs = append(srcs, source{rng: rand.New(rand.NewSource(seed)), left: cfg.Samples})
+		seed = streamSeed(cfg.Seed, 2*uint64(id))
 	}
+	return srcs, nil
+}
 
-	ref, err := execute(g, order, outID, inputs, false, nil)
-	if err != nil {
-		return nil, err
+// next returns up to n further samples, none once the input is exhausted.
+func (s *source) next(n int) []float64 {
+	if s.rng == nil {
+		x := s.sig[:min(n, len(s.sig))]
+		s.sig = s.sig[len(x):]
+		return x
 	}
-	fx, err := execute(g, order, outID, inputs, true, rng)
-	if err != nil {
-		return nil, err
-	}
-	n := len(ref)
-	if len(fx) < n {
-		n = len(fx)
-	}
-	out := &Outcome{Samples: n}
-	var errAcc, refAcc stats.Running
-	errSig := make([]float64, n)
-	for i := 0; i < n; i++ {
+	x := s.buf.take(min(n, s.left))
+	s.left -= len(x)
+	draw(s.rng, x)
+	return x
+}
+
+// streamSeed derives the seed of a private random stream from the run seed
+// and a key (2·id for a further input's stimulus, 2·id+1 for a node's
+// override noise) with the splitmix64 finalizer, so the streams of a run
+// are unrelated to each other and to those of neighbouring seeds, which
+// RunParallel's shards use.
+func streamSeed(seed int64, key uint64) int64 {
+	z := uint64(seed) + (key+1)*0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return int64(z ^ z>>31)
+}
+
+// accumulator folds the reference and fixed-point output samples into an
+// Outcome. It keeps the error signal only when the PSD or the raw error
+// is requested.
+type accumulator struct {
+	cfg      Config
+	err, ref stats.Running
+	sig      []float64
+	batch    float64       // sum of err^2 over the open batch
+	batchN   int           // samples in the open batch
+	batches  stats.Running // means of err^2 over the completed batches
+}
+
+// add measures the next output samples of both executions.
+func (a *accumulator) add(ref, fx []float64) {
+	keep := a.cfg.PSDBins >= 2 || a.cfg.KeepError
+	for i := range min(len(ref), len(fx)) {
 		e := fx[i] - ref[i]
-		errSig[i] = e
-		errAcc.Add(e)
-		refAcc.Add(ref[i])
+		a.err.Add(e)
+		a.ref.Add(ref[i])
+		if keep {
+			a.sig = append(a.sig, e)
+		}
+		a.batch += e * e
+		if a.batchN++; a.batchN == seBatch {
+			a.batches.Add(a.batch / seBatch)
+			a.batch, a.batchN = 0, 0
+		}
 	}
-	out.Mean = errAcc.Mean()
-	out.Variance = errAcc.Variance()
-	out.Power = errAcc.MeanSquare()
-	out.RefPower = refAcc.MeanSquare()
-	if cfg.PSDBins >= 2 {
-		p, err := psd.Estimate(errSig, psd.EstimateOptions{Bins: cfg.PSDBins, Window: cfg.Window, Overlap: 0.5})
+}
+
+// merge folds another shard's accumulator into a (parallel Welford
+// combination); the shards' open batches are dropped.
+func (a *accumulator) merge(o *accumulator) {
+	a.err.Merge(o.err)
+	a.ref.Merge(o.ref)
+	a.batches.Merge(o.batches)
+}
+
+func (a *accumulator) outcome() (*Outcome, error) {
+	out := &Outcome{
+		Power:    a.err.MeanSquare(),
+		PowerSE:  math.NaN(),
+		Mean:     a.err.Mean(),
+		Variance: a.err.Variance(),
+		RefPower: a.ref.MeanSquare(),
+		Samples:  int(a.err.N()),
+	}
+	if k := float64(a.batches.N()); k >= 2 {
+		// Sample variance of the batch means, scaled from one batch to
+		// all measured samples.
+		out.PowerSE = math.Sqrt(a.batches.Variance() * k / (k - 1) * seBatch / float64(out.Samples))
+	}
+	if a.cfg.PSDBins >= 2 {
+		p, err := psd.Estimate(a.sig, psd.EstimateOptions{Bins: a.cfg.PSDBins, Window: a.cfg.Window, Overlap: 0.5})
 		if err != nil {
 			return nil, fmt.Errorf("fxsim: error PSD: %w", err)
 		}
 		out.ErrPSD = p
 	}
-	if cfg.KeepError {
-		out.Err = errSig
+	if a.cfg.KeepError {
+		out.Err = a.sig
 	}
 	return out, nil
-}
-
-// execute runs the graph in batch mode. When quantized is true, every node
-// carrying a noise source has its output snapped onto the source's grid —
-// or, for sources with Override moments, perturbed by additive white noise
-// with those moments drawn from rng.
-func execute(g *sfg.Graph, order []sfg.NodeID, outID sfg.NodeID, inputs map[sfg.NodeID][]float64, quantized bool, rng *rand.Rand) ([]float64, error) {
-	signals := make(map[sfg.NodeID][]float64, len(order))
-	// Accumulate per-node inputs from predecessors as they complete.
-	pending := make(map[sfg.NodeID][]float64)
-	for _, id := range order {
-		node := g.Node(id)
-		var in []float64
-		if node.Kind == sfg.KindInput {
-			in = inputs[id]
-		} else {
-			in = pending[id]
-			delete(pending, id)
-		}
-		out, err := applyNode(node, in)
-		if err != nil {
-			return nil, err
-		}
-		if quantized && node.Noise != nil {
-			if ov := node.Noise.Override; ov != nil {
-				// Derived source: inject additive white noise with the
-				// override moments (uniform, matching the PQN shape).
-				halfSpan := math.Sqrt(3 * ov.Variance)
-				noisy := make([]float64, len(out))
-				for i, v := range out {
-					noisy[i] = v + ov.Mean + (rng.Float64()*2-1)*halfSpan
-				}
-				out = noisy
-			} else {
-				q := fixed.NewQuantizer(node.Noise.Frac, node.Noise.Mode)
-				out = q.Quantized(out)
-			}
-		}
-		signals[id] = out
-		for _, s := range g.Succ(id) {
-			pending[s] = accumulate(pending[s], out)
-		}
-	}
-	res, ok := signals[outID]
-	if !ok {
-		return nil, fmt.Errorf("fxsim: output node produced no signal")
-	}
-	return res, nil
-}
-
-// accumulate sums src into dst elementwise, growing dst as needed. Rate
-// mismatches at adders surface as length differences; summation runs over
-// the shorter prefix with the longer tail preserved, matching streaming
-// semantics where the shorter branch has simply not produced samples yet.
-func accumulate(dst, src []float64) []float64 {
-	if len(src) > len(dst) {
-		grown := make([]float64, len(src))
-		copy(grown, dst)
-		dst = grown
-	}
-	for i, v := range src {
-		dst[i] += v
-	}
-	return dst
-}
-
-// applyNode processes one node's batch input.
-func applyNode(node *sfg.Node, in []float64) ([]float64, error) {
-	switch node.Kind {
-	case sfg.KindInput, sfg.KindAdder, sfg.KindOutput:
-		return in, nil
-	case sfg.KindFilter:
-		return filter.NewState(node.Filt).Process(in), nil
-	case sfg.KindGain:
-		return dsp.Scale(in, node.Gain), nil
-	case sfg.KindDelay:
-		out := make([]float64, len(in))
-		copy(out[min(node.Delay, len(in)):], in[:max(0, len(in)-node.Delay)])
-		return out, nil
-	case sfg.KindDown:
-		return dsp.Downsample(in, node.Factor), nil
-	case sfg.KindUp:
-		return dsp.Upsample(in, node.Factor), nil
-	case sfg.KindCustom:
-		if node.ProcFn == nil {
-			return nil, fmt.Errorf("fxsim: custom node %q has no time-domain processor", node.Name)
-		}
-		return node.ProcFn(in), nil
-	default:
-		return nil, fmt.Errorf("fxsim: cannot simulate node %q of kind %v", node.Name, node.Kind)
-	}
-}
-
-// Generate produces n samples of the requested stimulus.
-func Generate(kind InputKind, n int, rng *rand.Rand) []float64 {
-	out := make([]float64, n)
-	switch kind {
-	case UniformWhite:
-		for i := range out {
-			out[i] = rng.Float64()*2 - 1
-		}
-	case GaussianWhite:
-		for i := range out {
-			v := rng.NormFloat64() * math.Sqrt(0.1)
-			out[i] = math.Max(-1, math.Min(1, v))
-		}
-	case Pink:
-		// Paul Kellet's economy pink-noise filter bank.
-		var b0, b1, b2 float64
-		for i := range out {
-			w := rng.NormFloat64()
-			b0 = 0.99765*b0 + w*0.0990460
-			b1 = 0.96300*b1 + w*0.2965164
-			b2 = 0.57000*b2 + w*1.0526913
-			out[i] = (b0 + b1 + b2 + w*0.1848) * 0.1
-		}
-		normalizePeak(out)
-	case Multitone:
-		freqs := []float64{0.01237, 0.0531, 0.1117, 0.2011, 0.3373}
-		phases := make([]float64, len(freqs))
-		for i := range phases {
-			phases[i] = rng.Float64() * 2 * math.Pi
-		}
-		for i := range out {
-			var s float64
-			for j, f := range freqs {
-				s += math.Sin(2*math.Pi*f*float64(i) + phases[j])
-			}
-			out[i] = s / float64(len(freqs))
-		}
-	default:
-		panic(fmt.Sprintf("fxsim: unknown input kind %v", kind))
-	}
-	return out
-}
-
-func normalizePeak(x []float64) {
-	var peak float64
-	for _, v := range x {
-		if a := math.Abs(v); a > peak {
-			peak = a
-		}
-	}
-	if peak == 0 {
-		return
-	}
-	inv := 0.99 / peak
-	for i := range x {
-		x[i] *= inv
-	}
 }

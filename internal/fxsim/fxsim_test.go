@@ -3,6 +3,7 @@ package fxsim
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/dsp"
@@ -102,29 +103,25 @@ func TestDeterministicSeed(t *testing.T) {
 }
 
 func TestInputKinds(t *testing.T) {
-	for _, k := range []InputKind{UniformWhite, GaussianWhite, Pink, Multitone} {
-		g := quantizedInputChain(filter.NewFIR([]float64{1}, ""), 10, fixed.RoundNearest)
-		o, err := Run(g, Config{Samples: 20000, Seed: 3, Input: k})
-		if err != nil {
-			t.Fatalf("%v: %v", k, err)
-		}
-		if o.Power <= 0 {
-			t.Errorf("%v: zero error power", k)
-		}
-		if o.RefPower <= 0 || o.RefPower > 1.1 {
-			t.Errorf("%v: implausible signal power %g", k, o.RefPower)
-		}
+	g := quantizedInputChain(filter.NewFIR([]float64{1}, ""), 10, fixed.RoundNearest)
+	o, err := Run(g, Config{Samples: 20000, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.Power <= 0 {
+		t.Error("zero error power")
+	}
+	if o.RefPower <= 0 || o.RefPower > 1.1 {
+		t.Errorf("implausible signal power %g", o.RefPower)
 	}
 }
 
 func TestGenerateBounds(t *testing.T) {
-	rngSeed := int64(7)
-	for _, k := range []InputKind{UniformWhite, GaussianWhite, Pink, Multitone} {
-		sig := Generate(k, 10000, randNew(rngSeed))
-		for i, v := range sig {
-			if v < -1.001 || v > 1.001 {
-				t.Fatalf("%v: sample %d = %g out of range", k, i, v)
-			}
+	sig := make([]float64, 10000)
+	draw(randNew(7), sig)
+	for i, v := range sig {
+		if v < -1.001 || v > 1.001 {
+			t.Fatalf("sample %d = %g out of range", i, v)
 		}
 	}
 }
@@ -299,6 +296,49 @@ func TestRunParallelErrors(t *testing.T) {
 	}
 	if _, err := RunParallel(g, Config{Samples: 0}, 2); err == nil {
 		t.Fatal("zero samples should fail")
+	}
+}
+
+// TestRunParallelCoversEverySample: shards split Samples exactly, the
+// first Samples mod shards of them one sample longer.
+func TestRunParallelCoversEverySample(t *testing.T) {
+	g := quantizedInputChain(filter.NewFIR([]float64{0.5, 0.5}, ""), 8, fixed.RoundNearest)
+	for _, c := range []struct{ samples, shards int }{{1001, 4}, {10, 4}, {1 << 16, 3}} {
+		o, err := RunParallel(g, Config{Samples: c.samples, Seed: 1}, c.shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.Samples != c.samples {
+			t.Errorf("%d samples over %d shards measured %d", c.samples, c.shards, o.Samples)
+		}
+	}
+}
+
+// TestRunParallelPoolsPowerSE: the merged standard error pools the batch
+// means of every shard and scales them to the total sample count, so it
+// matches the serial run's.
+func TestRunParallelPoolsPowerSE(t *testing.T) {
+	g := quantizedInputChain(filter.NewFIR([]float64{0.5, 0.5}, ""), 8, fixed.RoundNearest)
+	serial, err := Run(g, Config{Samples: 1 << 18, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := RunParallel(g, Config{Samples: 1 << 18, Seed: 2}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := parallel.PowerSE / serial.PowerSE; !(r > 0.8 && r < 1.25) {
+		t.Fatalf("pooled PowerSE %g vs serial %g", parallel.PowerSE, serial.PowerSE)
+	}
+}
+
+func TestRunRejectsCustomNode(t *testing.T) {
+	g := sfg.New()
+	in := g.Input("in")
+	cu := g.Custom("cu", func(n int) []complex128 { return make([]complex128, n) })
+	g.Chain(in, cu, g.Output("out"))
+	if _, err := Run(g, Config{Samples: 100}); err == nil || !strings.Contains(err.Error(), "cannot simulate custom node") {
+		t.Fatalf("custom node: %v", err)
 	}
 }
 

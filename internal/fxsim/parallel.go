@@ -6,12 +6,12 @@ import (
 	"sync"
 
 	"repro/internal/sfg"
-	"repro/internal/stats"
 )
 
 // RunParallel splits a Monte-Carlo run across independent seeded shards and
 // merges their statistics with the parallel Welford combination. Shards use
-// seeds Seed, Seed+1, ..., so the result is deterministic for a given
+// seeds Seed, Seed+1, ..., and the first Samples mod shards of them draw one
+// sample more than the rest, so the result is deterministic for a given
 // (Seed, shards) pair but differs from a single Run of the same total
 // length. Error-PSD estimation and KeepError are not supported here — use
 // Run for those.
@@ -28,17 +28,12 @@ func RunParallel(g *sfg.Graph, cfg Config, shards int) (*Outcome, error) {
 	if cfg.Samples <= 0 {
 		return nil, fmt.Errorf("fxsim: non-positive sample count %d", cfg.Samples)
 	}
-	if shards == 1 {
-		return Run(g, cfg)
-	}
-	per := cfg.Samples / shards
-	if per < 1 {
+	if cfg.Samples < shards {
 		return nil, fmt.Errorf("fxsim: %d samples across %d shards leaves empty shards", cfg.Samples, shards)
 	}
 	type shardResult struct {
-		errAcc stats.Running
-		refAcc stats.Running
-		err    error
+		acc *accumulator
+		err error
 	}
 	results := make([]shardResult, shards)
 	var wg sync.WaitGroup
@@ -54,32 +49,21 @@ func RunParallel(g *sfg.Graph, cfg Config, shards int) (*Outcome, error) {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			sub := cfg
-			sub.Samples = per
-			sub.Seed = cfg.Seed + int64(i)
-			o, err := Run(g, sub)
-			if err != nil {
-				results[i].err = err
-				return
+			sub.Samples = cfg.Samples / shards
+			if i < cfg.Samples%shards {
+				sub.Samples++
 			}
-			results[i].errAcc = stats.NewRunningFromMoments(int64(o.Samples), o.Mean, o.Variance)
-			// RefPower only needs E[x^2]; reconstruct with zero mean.
-			results[i].refAcc = stats.NewRunningFromMoments(int64(o.Samples), 0, o.RefPower)
+			sub.Seed = cfg.Seed + int64(i)
+			results[i].acc, results[i].err = simulate(g, sub, chunkLen)
 		}(i)
 	}
 	wg.Wait()
-	var errAcc, refAcc stats.Running
-	for i := range results {
-		if results[i].err != nil {
-			return nil, results[i].err
+	merged := &accumulator{cfg: cfg}
+	for _, r := range results {
+		if r.err != nil {
+			return nil, r.err
 		}
-		errAcc.Merge(results[i].errAcc)
-		refAcc.Merge(results[i].refAcc)
+		merged.merge(r.acc)
 	}
-	return &Outcome{
-		Power:    errAcc.MeanSquare(),
-		Mean:     errAcc.Mean(),
-		Variance: errAcc.Variance(),
-		RefPower: refAcc.MeanSquare(),
-		Samples:  int(errAcc.N()),
-	}, nil
+	return merged.outcome()
 }

@@ -154,7 +154,7 @@ func (g *Graph) breakOne(cycle []NodeID) error {
 	g.Connect(silent, chain[0])
 	// 3. Insert the closed-loop block after the adder, taking over the
 	// adder's remaining forward successors.
-	closed := g.Custom(fmt.Sprintf("%s.closedloop", g.nodes[adder].Name), loopResp, nil)
+	closed := g.Custom(fmt.Sprintf("%s.closedloop", g.nodes[adder].Name), loopResp)
 	forward := append([]NodeID(nil), g.succ[adder]...)
 	for _, s := range forward {
 		g.removeEdge(adder, s)

@@ -38,7 +38,7 @@ const (
 	// KindUp inserts Factor-1 zeros between samples.
 	KindUp
 	// KindCustom is an LTI block given directly by a sampled frequency
-	// response (and optionally a time-domain processor for simulation).
+	// response; it has no time-domain form, so it cannot be simulated.
 	KindCustom
 )
 
@@ -87,9 +87,6 @@ type Node struct {
 	Factor int
 	// RespFn samples the frequency response of KindCustom nodes on n bins.
 	RespFn func(n int) []complex128
-	// ProcFn optionally provides a time-domain implementation for
-	// KindCustom nodes so the simulator can run them.
-	ProcFn func(x []float64) []float64
 
 	// Noise is the additive quantization-noise source injected at this
 	// node's output, or nil for an exact block.
@@ -207,10 +204,9 @@ func (g *Graph) Up(name string, factor int) NodeID {
 	return g.add(&Node{Name: name, Kind: KindUp, Factor: factor})
 }
 
-// Custom adds a block defined by a sampled frequency response and an
-// optional time-domain processor.
-func (g *Graph) Custom(name string, respFn func(n int) []complex128, procFn func(x []float64) []float64) NodeID {
-	return g.add(&Node{Name: name, Kind: KindCustom, RespFn: respFn, ProcFn: procFn})
+// Custom adds a block defined by a sampled frequency response.
+func (g *Graph) Custom(name string, respFn func(n int) []complex128) NodeID {
+	return g.add(&Node{Name: name, Kind: KindCustom, RespFn: respFn})
 }
 
 // Connect adds the directed edge from -> to.

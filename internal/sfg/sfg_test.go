@@ -151,7 +151,7 @@ func TestNodeResponses(t *testing.T) {
 
 func TestCustomResponseLengthChecked(t *testing.T) {
 	g := New()
-	c := g.Custom("c", func(n int) []complex128 { return make([]complex128, n-1) }, nil)
+	c := g.Custom("c", func(n int) []complex128 { return make([]complex128, n-1) })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for wrong response length")

@@ -295,7 +295,7 @@ func TestFromGraphRejectsUnnamedAndCustom(t *testing.T) {
 
 	g2 := sfg.New()
 	in2 := g2.Input("in")
-	cu := g2.Custom("cu", func(n int) []complex128 { return make([]complex128, n) }, nil)
+	cu := g2.Custom("cu", func(n int) []complex128 { return make([]complex128, n) })
 	out2 := g2.Output("out")
 	g2.Chain(in2, cu, out2)
 	if _, err := FromGraph(g2, "x"); err == nil || !strings.Contains(err.Error(), "not expressible") {

@@ -62,6 +62,12 @@ func Ed(simPower, estPower float64) float64 {
 	return (simPower - estPower) / simPower
 }
 
+// EdSE propagates the standard error of the simulated power to Ed: to
+// first order, dEd/dsim = est/sim^2. NaN inputs propagate.
+func EdSE(simPower, simSE, estPower float64) float64 {
+	return estPower * simSE / (simPower * simPower)
+}
+
 // SubOneBit reports whether an Ed value (fraction) lies inside the
 // sub-one-bit accuracy band (-75 %, +300 %) derived in the paper from the
 // 4x power ratio between successive fractional word-lengths.
@@ -120,15 +126,6 @@ func (r *Running) Variance() float64 {
 // MeanSquare returns the running E[x^2] = mean^2 + variance.
 func (r *Running) MeanSquare() float64 {
 	return r.mean*r.mean + r.Variance()
-}
-
-// NewRunningFromMoments reconstructs an accumulator from aggregate
-// statistics, enabling Merge of results whose raw samples are gone.
-func NewRunningFromMoments(n int64, mean, variance float64) Running {
-	if n <= 0 {
-		return Running{}
-	}
-	return Running{n: n, mean: mean, m2: variance * float64(n)}
 }
 
 // Merge folds another accumulator into r (parallel Welford combination).

@@ -50,6 +50,16 @@ func TestEd(t *testing.T) {
 	}
 }
 
+func TestEdSE(t *testing.T) {
+	// Ed = 1 - est/sim: a 1% error on sim moves Ed by est/sim percent.
+	if got := EdSE(2, 0.02, 1); math.Abs(got-0.005) > 1e-15 {
+		t.Fatalf("EdSE(2, 0.02, 1) = %g, want 0.005", got)
+	}
+	if !math.IsNaN(EdSE(2, math.NaN(), 1)) {
+		t.Fatal("NaN standard error should propagate")
+	}
+}
+
 func TestSubOneBitBand(t *testing.T) {
 	// The paper's band: Ed in (-75%, 300%) in their sign convention maps to
 	// est/sim in (1/4, 4); with Ed = (sim-est)/sim that is Ed in (-3, 0.75).
@@ -189,31 +199,5 @@ func TestQuantileInterpolation(t *testing.T) {
 	}
 	if got := s.Quantile(0.25); math.Abs(got-0.75) > 1e-12 {
 		t.Fatalf("q25 = %g, want 0.75", got)
-	}
-}
-
-func TestNewRunningFromMoments(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	x := make([]float64, 4000)
-	for i := range x {
-		x[i] = rng.NormFloat64()*1.5 - 2
-	}
-	var direct Running
-	direct.AddSlice(x[:1500])
-	rebuilt := NewRunningFromMoments(direct.N(), direct.Mean(), direct.Variance())
-	var rest Running
-	rest.AddSlice(x[1500:])
-	rebuilt.Merge(rest)
-	var whole Running
-	whole.AddSlice(x)
-	if math.Abs(rebuilt.Mean()-whole.Mean()) > 1e-10 {
-		t.Fatalf("mean %g vs %g", rebuilt.Mean(), whole.Mean())
-	}
-	if math.Abs(rebuilt.Variance()-whole.Variance()) > 1e-9 {
-		t.Fatalf("variance %g vs %g", rebuilt.Variance(), whole.Variance())
-	}
-	empty := NewRunningFromMoments(0, 5, 5)
-	if empty.N() != 0 {
-		t.Fatal("non-positive n should give empty accumulator")
 	}
 }

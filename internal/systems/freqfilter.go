@@ -3,16 +3,13 @@ package systems
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/dsp"
 	"repro/internal/filter"
 	"repro/internal/fixed"
 	"repro/internal/fxsim"
-	"repro/internal/psd"
 	"repro/internal/qnoise"
 	"repro/internal/sfg"
-	"repro/internal/stats"
 )
 
 // FreqFilter is the paper's Fig. 2 band-pass system: a 16-tap low-pass FIR
@@ -125,40 +122,16 @@ func (s *FreqFilter) Simulate(d int, cfg SimConfig) (*fxsim.Outcome, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	x := fxsim.Generate(cfg.Input, cfg.Samples, rng)
-
-	ref, err := s.pipeline(x, nil)
-	if err != nil {
-		return nil, err
-	}
+	fc := fxConfig(cfg.withDefaults())
+	fc.Window = dsp.Hann
 	qz := fixed.NewQuantizer(d, Mode)
-	fx, err := s.pipeline(x, qz)
-	if err != nil {
-		return nil, err
-	}
-	out := &fxsim.Outcome{Samples: len(ref)}
-	var errAcc, refAcc stats.Running
-	errSig := make([]float64, len(ref))
-	for i := range ref {
-		e := fx[i] - ref[i]
-		errSig[i] = e
-		errAcc.Add(e)
-		refAcc.Add(ref[i])
-	}
-	out.Mean = errAcc.Mean()
-	out.Variance = errAcc.Variance()
-	out.Power = errAcc.MeanSquare()
-	out.RefPower = refAcc.MeanSquare()
-	if cfg.PSDBins >= 2 {
-		p, err := psd.Estimate(errSig, psd.EstimateOptions{Bins: cfg.PSDBins, Window: dsp.Hann, Overlap: 0.5})
-		if err != nil {
-			return nil, err
+	return fxsim.Measure(fc, func(x []float64) (ref, fx []float64, err error) {
+		if ref, err = s.pipeline(x, nil); err != nil {
+			return nil, nil, err
 		}
-		out.ErrPSD = p
-	}
-	return out, nil
+		fx, err = s.pipeline(x, qz)
+		return ref, fx, err
+	})
 }
 
 // pipeline runs input -> (quantize) -> LP FIR -> (quantize) -> overlap-save

@@ -44,8 +44,6 @@ type SimConfig struct {
 	Samples int
 	// Seed makes runs reproducible.
 	Seed int64
-	// Input selects the stimulus (fxsim.UniformWhite by default).
-	Input fxsim.InputKind
 	// PSDBins requests an error-spectrum estimate when >= 2.
 	PSDBins int
 }
@@ -67,7 +65,6 @@ func fxConfig(c SimConfig) fxsim.Config {
 	return fxsim.Config{
 		Samples: c.Samples,
 		Seed:    c.Seed,
-		Input:   c.Input,
 		PSDBins: c.PSDBins,
 	}
 }

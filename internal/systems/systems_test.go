@@ -300,3 +300,31 @@ func TestMultirateSystemErrors(t *testing.T) {
 		t.Fatal("d=0 should fail")
 	}
 }
+
+// TestPowerSEMatchesSeedSpread: Outcome.PowerSE is an honest error bar —
+// across 20 seeds the spread of Power lies within 0.5–2x the median
+// reported standard error.
+func TestPowerSEMatchesSeedSpread(t *testing.T) {
+	systems, err := Registry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sys := range systems[:2] { // fir-lp31(tab1), iir-bw4(tab1)
+		var powers, ses []float64
+		for seed := int64(1); seed <= 20; seed++ {
+			sim, err := sys.Simulate(12, SimConfig{Samples: 1 << 16, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			powers = append(powers, sim.Power)
+			ses = append(ses, sim.PowerSE)
+		}
+		spread := math.Sqrt(stats.Variance(powers) * 20 / 19)
+		se := stats.Summarize(ses).Median
+		if r := spread / se; r < 0.5 || r > 2 {
+			t.Errorf("%s: Power spread %g over 20 seeds vs median PowerSE %g (ratio %.2f)", sys.Name(), spread, se, r)
+		} else {
+			t.Logf("%s: spread/SE %.2f", sys.Name(), r)
+		}
+	}
+}
