@@ -237,7 +237,7 @@ func TestRouterProxyHeadersAndReads(t *testing.T) {
 		t.Fatalf("X-Wlopt-Backend = %q, want owner %q", got, owner.url)
 	}
 
-	// Watch through the router: history replay then terminal event.
+	// Watch through the router: current state, then the terminal event.
 	var events []service.Event
 	if err := cl.Watch(ctx, info.ID, func(ev service.Event) bool {
 		events = append(events, ev)

@@ -386,19 +386,22 @@ func (c *Client) MetricsText(ctx context.Context) (string, error) {
 	return string(data), err
 }
 
-// Watch streams the job's events (history replay, then live progress),
-// invoking fn per event until the stream ends at the terminal event, fn
-// returns false, or ctx expires. A nil return means the stream completed
-// (terminal event seen or fn stopped it).
+// Watch streams the job's events, invoking fn per event until the stream
+// ends at the terminal event, fn returns false, or ctx expires. A nil
+// return means the stream completed (terminal event seen or fn stopped
+// it). The server sends the job's current state first, then at most one
+// progress event per 50 ms carrying the latest step, then exactly one
+// terminal event as soon as the job ends. Seq counts the events the job
+// published, so gaps between delivered events are normal.
 //
 // With a retry policy installed, a severed stream reconnects with
-// backoff instead of erroring: each reconnect replays the history, and
-// events already delivered (by sequence number) are suppressed so fn
-// observes each event once — except the terminal event, which is always
-// delivered, because a job recovered after a crash restarts its history
-// and its terminal may carry a sequence the pre-crash stream already
-// passed. Watch returns at the first terminal event, so fn can never see
-// two.
+// backoff instead of erroring: each reconnect resumes from the job's
+// latest event, and events at or below the last delivered sequence
+// number are suppressed so fn never sees one twice — except the terminal
+// event, which is always delivered, because a job recovered after a
+// crash restarts its count and its terminal may carry a sequence the
+// pre-crash stream already passed. Watch returns at the first terminal
+// event, so fn can never see two.
 func (c *Client) Watch(ctx context.Context, id string, fn func(service.Event) bool) error {
 	var lastSeq int
 	if c.retry.MaxAttempts <= 1 {
@@ -468,7 +471,7 @@ func (c *Client) watchOnce(ctx context.Context, id string, fn func(service.Event
 			return progressed, fmt.Errorf("watch %s: bad SSE payload %q: %w", id, line, err)
 		}
 		if ev.Seq <= *lastSeq && !ev.Terminal {
-			continue // replayed history from a reconnect
+			continue // delivered before a reconnect
 		}
 		if ev.Seq > *lastSeq {
 			*lastSeq = ev.Seq
@@ -491,8 +494,9 @@ func (c *Client) watchOnce(ctx context.Context, id string, fn func(service.Event
 }
 
 // Wait blocks until the job reaches a terminal state (or ctx expires) and
-// returns its final snapshot. It rides the watch stream, so a cache-hit
-// job returns immediately from the history replay.
+// returns its final snapshot. It rides the watch stream, so a job that
+// already ended returns at once: the stream's first event is its
+// terminal one.
 func (c *Client) Wait(ctx context.Context, id string) (*service.JobInfo, error) {
 	if err := c.Watch(ctx, id, func(service.Event) bool { return true }); err != nil {
 		return nil, err

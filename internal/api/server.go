@@ -355,9 +355,15 @@ func (s *Server) get(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, info)
 }
 
-// watch streams the job's event history and live progress as server-sent
-// events; the stream ends after the terminal event, or when the client
-// disconnects.
+// watchFrameInterval is the least time between two progress frames of one
+// watch stream.
+const watchFrameInterval = 50 * time.Millisecond
+
+// watch streams the job's progress as server-sent events: the job's
+// current state at once, then at most one progress frame per
+// watchFrameInterval carrying the latest step, then the terminal event
+// the moment it arrives. The stream ends after the terminal event, or
+// when the client disconnects.
 func (s *Server) watch(w http.ResponseWriter, r *http.Request, id string) {
 	ch, stop, err := s.mgr.Watch(id)
 	if err != nil {
@@ -374,17 +380,39 @@ func (s *Server) watch(w http.ResponseWriter, r *http.Request, id string) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
+	var (
+		next    time.Time        // earliest instant the next progress frame may go
+		pending service.Event    // latest event held back while tickC is set
+		tickC   <-chan time.Time // fires at next to release pending; nil when none is held
+	)
+	// send writes one frame and reports whether the stream goes on.
+	send := func(ev service.Event) bool {
+		if WriteSSE(w, ev) != nil {
+			return false
+		}
+		flusher.Flush()
+		next = time.Now().Add(watchFrameInterval)
+		return !ev.Terminal
+	}
 	for {
 		select {
 		case ev, ok := <-ch:
 			if !ok {
 				return
 			}
-			if err := WriteSSE(w, ev); err != nil {
-				return
+			if ev.Terminal || (tickC == nil && !time.Now().Before(next)) {
+				if !send(ev) {
+					return
+				}
+				continue
 			}
-			flusher.Flush()
-			if ev.Terminal {
+			pending = ev
+			if tickC == nil {
+				tickC = time.After(time.Until(next))
+			}
+		case <-tickC:
+			tickC = nil
+			if !send(pending) {
 				return
 			}
 		case <-r.Context().Done():

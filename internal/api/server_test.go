@@ -308,6 +308,35 @@ func TestClientWatchStreamsProgress(t *testing.T) {
 	}
 }
 
+// TestWatchConflatesProgressFrames: the SSE stream sends the current state
+// at once, then at most one progress frame per watchFrameInterval, then
+// exactly one terminal frame — not one frame per search step.
+func TestWatchConflatesProgressFrames(t *testing.T) {
+	cl, _, _ := newTestServer(t, service.Config{Workers: 1, StepThrottle: 10 * time.Millisecond})
+	ctx := context.Background()
+	info, err := cl.Submit(ctx, service.Request{System: "dwt97(fig3)", Options: testOptions("descent")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events, terminal int
+	start := time.Now()
+	err = cl.Watch(ctx, info.ID, func(ev service.Event) bool {
+		events++
+		if ev.Terminal {
+			terminal++
+		}
+		return true
+	})
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := int((elapsed+watchFrameInterval-1)/watchFrameInterval) + 3
+	if events > bound || terminal != 1 {
+		t.Fatalf("%d events (%d terminal) in %v; want at most %d and exactly one terminal", events, terminal, elapsed, bound)
+	}
+}
+
 // TestMetricsExposition asserts the backend /metrics surface the cluster
 // smoke test depends on: job latency histogram, cache hit and plan build
 // counters, queue gauges, per-route request counts.

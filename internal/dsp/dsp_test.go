@@ -336,6 +336,17 @@ func TestOverlapSaveStreamingEqualsBatch(t *testing.T) {
 		stream = append(stream, osB.Process(x[i:end])...)
 	}
 	sliceAlmostEq(t, stream, batch, 1e-8, "streaming")
+
+	// Ragged chunks: each call's zero-padded tail frame must not leak
+	// into the history the next call starts from.
+	osC, _ := NewOverlapSave(16, h)
+	stream = stream[:0]
+	start := 0
+	for _, n := range []int{10, 30, 7, 153} {
+		stream = append(stream, osC.Process(x[start:start+n])...)
+		start += n
+	}
+	sliceAlmostEq(t, stream, batch, 1e-8, "ragged streaming")
 }
 
 func TestOverlapSaveErrors(t *testing.T) {

@@ -72,7 +72,9 @@ func (o *OverlapSave) Reset() {
 // Process filters x and returns exactly len(x) output samples, matching
 // what a direct-form FIR with the same taps and zero initial state would
 // produce. Input whose length is not a multiple of the hop is zero-padded
-// internally; the padding never leaks into the returned samples.
+// internally; the padding never leaks into the returned samples, nor into
+// the history, so successive calls filter one continuous stream whatever
+// their lengths.
 func (o *OverlapSave) Process(x []float64) []float64 {
 	return o.process(x, nil)
 }
@@ -114,9 +116,12 @@ func (o *OverlapSave) process(x []float64, tap *StageTap) []float64 {
 				buf[nh+i] = 0
 			}
 		}
-		// Slide history forward before transforming.
+		// Slide history forward before transforming, over the real inputs
+		// only: a ragged tail frame's zero padding must not reach the next
+		// call.
 		if nh > 0 {
-			copy(o.history, buf[o.fftSize-nh:])
+			n := min(o.hop, len(x)-start)
+			copy(o.history, buf[n:n+nh])
 		}
 		for i, v := range buf {
 			frame[i] = complex(v, 0)

@@ -172,9 +172,13 @@ type job struct {
 	started   time.Time
 	finished  time.Time
 
-	events  []Event
-	subs    map[int]chan Event
+	// latest is the last published event: a job's progress is a state,
+	// not a log, so a watcher that subscribes late starts from here.
+	latest  Event
+	subs    map[int]chan Event // one-slot mailboxes; nil until a watcher subscribes
 	nextSub int
+	// done is closed at the terminal transition, unless muted.
+	done chan struct{}
 
 	// muted aliases the manager's halted flag: a crash-stopped manager
 	// (Halt, the SIGKILL stand-in) must not deliver events to watchers —
@@ -228,34 +232,34 @@ func errCode(err error) string {
 	return ""
 }
 
-// publishLocked appends an event to the history and fans it out; j.mu must
-// be held. Sends never block: a subscriber that stops draining loses
-// events rather than stalling the worker (channels are buffered generously,
-// and every subscriber got the full history on subscription). The
-// terminal event is never the one lost: on a full buffer it displaces the
-// oldest pending event. This is the only sender, under j.mu, so the
-// displaced slot stays free for it.
+// publishLocked makes ev the job's latest event and hands it to every
+// watcher's one-slot mailbox; j.mu must be held. Seq counts the events
+// published, so it stays monotonic while watchers see gaps. Sends never
+// block: a mailbox still holding an unread event has it replaced by the
+// newer one, so a slow watcher skips progress but always ends on the
+// terminal event. This is the only sender, under j.mu, so the slot it
+// empties stays free for it. The terminal event also closes done and
+// every mailbox.
 func (j *job) publishLocked(ev Event) {
-	ev.Seq = len(j.events) + 1
+	ev.Seq = j.latest.Seq + 1
 	ev.JobID = j.id
-	j.events = append(j.events, ev)
-	if j.muted != nil && j.muted.Load() {
+	j.latest = ev
+	if j.muted.Load() {
 		return
 	}
 	for _, ch := range j.subs {
 		select {
 		case ch <- ev:
 		default:
-			if ev.Terminal {
-				select {
-				case <-ch:
-				default:
-				}
-				ch <- ev
+			select {
+			case <-ch:
+			default:
 			}
+			ch <- ev
 		}
 	}
 	if ev.Terminal {
+		close(j.done)
 		for id, ch := range j.subs {
 			close(ch)
 			delete(j.subs, id)
@@ -401,19 +405,22 @@ func (j *job) finish(res *wlopt.Result, err error) {
 	j.cancel()
 }
 
-// subscribe registers a watcher: it receives the full event history
-// followed by live events; the channel closes after the terminal event.
-// The returned func unsubscribes (idempotent).
+// subscribe registers a watcher: a one-slot mailbox seeded with the
+// latest event, which publishLocked keeps replacing with newer ones; the
+// channel closes after the terminal event. Seeding and registering happen
+// in one j.mu hold, so no event — the terminal one above all — can fall
+// between them. The returned func unsubscribes (idempotent).
 func (j *job) subscribe() (<-chan Event, func()) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	ch := make(chan Event, len(j.events)+512)
-	for _, ev := range j.events {
-		ch <- ev
-	}
+	ch := make(chan Event, 1)
+	ch <- j.latest
 	if j.state.Terminal() {
 		close(ch)
 		return ch, func() {}
+	}
+	if j.subs == nil {
+		j.subs = make(map[int]chan Event)
 	}
 	id := j.nextSub
 	j.nextSub++

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"sort"
 	"time"
 
@@ -150,27 +149,12 @@ func (m *Manager) recoverOne(je *journalEntry) {
 		m.seq = je.Seq
 	}
 	m.submitted++
-	j := &job{
-		id:        je.ID,
-		seq:       je.Seq,
-		sysName:   je.System,
-		sp:        je.Spec,
-		opts:      opts,
-		digest:    je.Digest,
-		key:       key,
-		state:     JobQueued,
-		submitted: je.Submitted,
-		subs:      make(map[int]chan Event),
-		muted:     &m.halted,
-		journaled: true, // the entry is on disk; the terminal hook retires it
-	}
-	if opts.DeadlineMS > 0 {
-		// The deadline anchors at the *original* acceptance, which the
-		// journal preserved: a job recovered after its deadline passed is
-		// evicted immediately (the timer fires at once) instead of burning
-		// a worker on an answer its caller stopped waiting for.
-		j.deadline = je.Submitted.Add(time.Duration(opts.DeadlineMS) * time.Millisecond)
-	}
+	// The deadline anchors at the *original* acceptance, which the journal
+	// preserved: a job recovered after its deadline passed is evicted
+	// immediately (the timer fires at once) instead of burning a worker on
+	// an answer its caller stopped waiting for.
+	j := m.newJob(je.ID, je.Seq, je.System, je.Spec, opts, je.Digest, key, je.Submitted)
+	j.journaled = true // the entry is on disk; the terminal hook retires it
 	if m.cfg.Tracer != nil {
 		// A recovered job gets a fresh trace — the original caller's trace
 		// died with the old process, but its replayed run should still be
@@ -184,11 +168,6 @@ func (m *Manager) recoverOne(je *journalEntry) {
 		j.span.SetAttr("recovered", "true")
 		j.qspan = tr.StartSpan("queue.wait", j.span)
 	}
-	j.onDone = func(info *JobInfo) { m.jobDone(j, info) }
-	j.ctx, j.cancel = context.WithCancel(m.baseCtx)
-	j.mu.Lock()
-	j.publishLocked(Event{Type: "state", State: JobQueued})
-	j.mu.Unlock()
 	m.recovered++
 
 	if hit, ok := m.results.get(key); ok {

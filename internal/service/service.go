@@ -5,8 +5,12 @@
 // bounded worker pool sharing one plan-cached core.Engine — so repeated
 // requests against the same system reuse its frozen topology snapshot,
 // frequency responses and transfer profiles — supports cooperative
-// cancellation threaded through wlopt.Options.Context, and streams
-// per-step progress events to any number of watchers per job.
+// cancellation threaded through wlopt.Options.Context, and reports
+// per-step progress to any number of watchers per job. Progress is a
+// state, not a log: a job keeps only its latest event, each watcher
+// reads it through a one-slot mailbox that newer events overwrite (so a
+// slow watcher skips steps but always gets the terminal event), and Wait
+// blocks on a per-job done signal closed at the terminal transition.
 //
 // The HTTP daemon in cmd/wloptd is a thin shell over this package; the
 // package itself is embeddable (the benchmarks drive it in-process).
@@ -366,12 +370,6 @@ func (m *Manager) SubmitCtx(ctx context.Context, req Request) (*JobInfo, error) 
 		return nil, err
 	}
 	key := digest + "|" + opts.Fingerprint()
-	// The deadline anchors at acceptance: DeadlineMS is "total latency
-	// from submission", and this is where submission becomes real.
-	var deadline time.Time
-	if opts.DeadlineMS > 0 {
-		deadline = time.Now().Add(time.Duration(opts.DeadlineMS) * time.Millisecond)
-	}
 
 	// Mint the job's spans before taking the manager lock: trace
 	// bookkeeping is never under m.mu. With no Tracer all three stay
@@ -404,33 +402,10 @@ func (m *Manager) SubmitCtx(ctx context.Context, req Request) (*JobInfo, error) 
 		id = m.cfg.NodeID + "-" + id
 	}
 	jobSpan.SetAttr("job_id", id)
-	j := &job{
-		id:        id,
-		seq:       m.seq,
-		sysName:   sysName,
-		sp:        sp,
-		opts:      opts,
-		digest:    digest,
-		key:       key,
-		deadline:  deadline,
-		state:     JobQueued,
-		submitted: time.Now(),
-		subs:      make(map[int]chan Event),
-		muted:     &m.halted,
-		traceID:   tr.ID(),
-		span:      jobSpan,
-		qspan:     qSpan,
-	}
-	// Every terminal transition routes through jobDone: it retires the
-	// job's journal entry, then forwards to Config.OnJobDone.
-	j.onDone = func(info *JobInfo) { m.jobDone(j, info) }
-	j.ctx, j.cancel = context.WithCancel(m.baseCtx)
-	// Publish the initial state before the job is visible to workers or
-	// watchers, so the event history always starts with "queued" and a
-	// worker's "running" transition can never be overwritten.
-	j.mu.Lock()
-	j.publishLocked(Event{Type: "state", State: JobQueued})
-	j.mu.Unlock()
+	// The deadline anchors at acceptance: DeadlineMS is "total latency
+	// from submission", and this is where submission becomes real.
+	j := m.newJob(id, m.seq, sysName, sp, opts, digest, key, time.Now())
+	j.traceID, j.span, j.qspan = tr.ID(), jobSpan, qSpan
 	if hit, ok := m.results.get(key); ok {
 		return m.serveHitLocked(j, hit.(*cachedResult)), nil
 	}
@@ -496,6 +471,38 @@ func (m *Manager) SubmitCtx(ctx context.Context, req Request) (*JobInfo, error) 
 	m.journalAccept(j)
 	m.armDeadline(j)
 	return j.snapshot(), nil
+}
+
+// newJob mints a queued job; Submit and journal recovery both build jobs
+// here. The deadline anchors at submitted. The initial "queued" event is
+// published before the job is visible to workers or watchers, so a
+// worker's "running" transition can never be overwritten. Tracing fields
+// are the caller's to set, also before the job is visible.
+func (m *Manager) newJob(id string, seq int64, sysName string, sp *spec.Spec, opts spec.Options, digest, key string, submitted time.Time) *job {
+	j := &job{
+		id:        id,
+		seq:       seq,
+		sysName:   sysName,
+		sp:        sp,
+		opts:      opts,
+		digest:    digest,
+		key:       key,
+		state:     JobQueued,
+		submitted: submitted,
+		done:      make(chan struct{}),
+		muted:     &m.halted,
+	}
+	if opts.DeadlineMS > 0 {
+		j.deadline = submitted.Add(time.Duration(opts.DeadlineMS) * time.Millisecond)
+	}
+	// Every terminal transition routes through jobDone: it retires the
+	// job's journal entry, then forwards to Config.OnJobDone.
+	j.onDone = func(info *JobInfo) { m.jobDone(j, info) }
+	j.ctx, j.cancel = context.WithCancel(m.baseCtx)
+	j.mu.Lock()
+	j.publishLocked(Event{Type: "state", State: JobQueued})
+	j.mu.Unlock()
+	return j
 }
 
 // armDeadline schedules the job's eviction at its deadline. Only jobs
@@ -1150,9 +1157,12 @@ func (m *Manager) Cancel(id string) (*JobInfo, error) {
 	return j.snapshot(), nil
 }
 
-// Watch subscribes to the job's event stream: the full history replays
-// first, then live events; the channel closes after the terminal event.
-// Call the returned func to unsubscribe early.
+// Watch subscribes to the job's progress, which is a state, not a log:
+// the channel first yields the job's latest event, then newer ones as
+// they are published, and closes after the terminal event. A watcher
+// that reads slower than the job publishes skips intermediate progress
+// (Seq shows the gaps) but always receives the terminal event exactly
+// once. Call the returned func to unsubscribe early.
 func (m *Manager) Watch(id string) (<-chan Event, func(), error) {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
@@ -1165,8 +1175,9 @@ func (m *Manager) Watch(id string) (<-chan Event, func(), error) {
 }
 
 // Wait blocks until the job reaches a terminal state (or ctx expires) and
-// returns its final snapshot. The snapshot is taken from the job itself,
-// so the result survives even if newer submissions evict the job from the
+// returns its final snapshot. It waits on the job's done signal, not on
+// its event stream. The snapshot is taken from the job itself, so the
+// result survives even if newer submissions evict the job from the
 // retained history while Wait is blocked.
 func (m *Manager) Wait(ctx context.Context, id string) (*JobInfo, error) {
 	m.mu.Lock()
@@ -1175,17 +1186,11 @@ func (m *Manager) Wait(ctx context.Context, id string) (*JobInfo, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: job %q", ErrNotFound, id)
 	}
-	ch, stop := j.subscribe()
-	defer stop()
-	for {
-		select {
-		case _, ok := <-ch:
-			if !ok {
-				return j.snapshot(), nil
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+	select {
+	case <-j.done:
+		return j.snapshot(), nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
 }
 
