@@ -52,7 +52,8 @@ func TestErrorEnvelopeEveryPath(t *testing.T) {
 		body       string
 		wantStatus int
 		wantCode   string
-		wantPos    bool // expects line/col in the envelope
+		wantPos    bool   // expects line/col in the envelope
+		wantInMsg  string // a substring the message must hold
 	}{
 		{
 			name: "unknown job", method: http.MethodGet, path: "/v1/jobs/j999999",
@@ -91,6 +92,11 @@ func TestErrorEnvelopeEveryPath(t *testing.T) {
 			name: "bad options", method: http.MethodPost, path: "/v1/jobs",
 			body:       `{"system":"dwt97(fig3)","options":{"budget_width":8,"min_frac":9,"max_frac":4}}`,
 			wantStatus: http.StatusBadRequest, wantCode: CodeBadRequest,
+		},
+		{
+			name: "anneal rounds above the maximum", method: http.MethodPost, path: "/v1/jobs",
+			body:       `{"system":"dwt97(fig3)","options":{"strategy":"anneal","budget_width":8,"anneal_rounds":100001}}`,
+			wantStatus: http.StatusBadRequest, wantCode: CodeBadRequest, wantInMsg: "anneal_rounds",
 		},
 		{
 			name: "unknown strategy", method: http.MethodPost, path: "/v1/jobs",
@@ -141,6 +147,9 @@ func TestErrorEnvelopeEveryPath(t *testing.T) {
 			}
 			if env.Error.Message == "" {
 				t.Fatal("empty error message")
+			}
+			if !strings.Contains(env.Error.Message, tc.wantInMsg) {
+				t.Fatalf("message %q does not name %q", env.Error.Message, tc.wantInMsg)
 			}
 			if tc.wantPos && (env.Error.Line == 0 || env.Error.Col == 0) {
 				t.Fatalf("bad_spec envelope lacks position: %+v", env.Error)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,14 +89,16 @@ type MovePowerEvaluator interface {
 // concurrency-safe evaluator that caches per-graph state (validated
 // topology snapshot, per-node frequency responses, propagation scratch)
 // across Evaluate calls, and fans batches of width assignments across a
-// worker pool. The word-length optimizer calls the accuracy oracle hundreds
-// of times on one graph; the engine makes each call cheap and lets the
-// independent calls of one greedy step run in parallel.
+// worker pool. The word-length optimizer calls the accuracy oracle
+// thousands of times on one graph; the engine makes each call cheap.
 //
 // The cached plan freezes graph *structure*: nodes, edges, responses and
 // the noise-source set. Fractional widths may vary freely per call (that is
-// the point), but after any structural change call Invalidate. During
-// EvaluateBatch the graph must not be mutated by anyone.
+// the point), but after any structural change call Invalidate. Between
+// calls a plan's sources may differ only in Frac: the σ² tables and the
+// uniform-width memo below key their cells by width alone, so changing a
+// source's mode, input width or moment override also needs Invalidate.
+// During EvaluateBatch the graph must not be mutated by anyone.
 //
 // The cache holds at most PlanCacheCap plans (default 8) and evicts the
 // least-recently-used plan on overflow, so an unbounded stream of throwaway
@@ -107,7 +110,14 @@ type MovePowerEvaluator interface {
 // multiply-accumulate and scalar move scores (PowerMoves) into σ²-table
 // lookups, with the full per-source propagation retained as the fallback
 // for topologies that fail the linearity probe (and available explicitly
-// via SetFullPropagation).
+// via SetFullPropagation). On either path the plan memoizes the Result
+// of every uniform assignment (all sources at one width in [0, 48], at
+// most 49 Results) on first use: the strategies' feasibility checks,
+// uniform baselines and starting points, and the service's budget probe
+// all evaluate uniform assignments, whose results never change for a
+// plan. Callers get a deep copy. The memo lives and dies with its plan:
+// eviction and Invalidate drop it, RestorePlan starts it empty, and
+// snapshots do not carry it.
 //
 // The read path is lock-free: the plan cache is an immutable snapshot
 // swapped through an atomic pointer (copy-on-write), and recency stamps
@@ -473,6 +483,10 @@ type graphPlan struct {
 	sigmaOnce  sync.Once      // lazily builds the σ² width tables
 	sigma      [][]sigmaEntry // per-source width→(σ², μ) tables; see sigmaFor
 	scalarPool sync.Pool      // of *scalarState, for PowerMoves
+
+	// uniform memoizes, by width on the σ² grid, the Result of the
+	// assignment giving every source that width; see evaluate.
+	uniform [sigmaGridMax - sigmaGridMin + 1]atomic.Pointer[Result]
 }
 
 func newGraphPlanMode(g *sfg.Graph, npsd int, forceFull bool) (*graphPlan, error) {
@@ -509,11 +523,59 @@ func newGraphPlanMode(g *sfg.Graph, npsd int, forceFull bool) (*graphPlan, error
 
 // evaluate scores one assignment (nil means "the graph's current widths")
 // through the transfer cache when available, else by full propagation.
+// An assignment giving every source the same grid width is served from
+// the plan's uniform memo, filled here on first use. Evaluation is
+// deterministic, so a memoized Result is bit-identical to a fresh one;
+// each caller gets its own deep copy.
 func (p *graphPlan) evaluate(a Assignment) (*Result, error) {
-	if p.cached {
-		return p.evaluateCached(a), nil
+	w, uniform := p.uniformWidth(a)
+	if uniform {
+		if r := p.uniform[w-sigmaGridMin].Load(); r != nil {
+			return r.clone(), nil
+		}
 	}
-	return p.evaluateFull(a)
+	var r *Result
+	if p.cached {
+		r = p.evaluateCached(a)
+	} else {
+		var err error
+		if r, err = p.evaluateFull(a); err != nil {
+			return nil, err
+		}
+	}
+	if uniform {
+		// A concurrent first fill may win; its Result is bit-identical.
+		p.uniform[w-sigmaGridMin].CompareAndSwap(nil, r.clone())
+	}
+	return r, nil
+}
+
+// uniformWidth reports the width every source takes under a (nil means
+// the graph's current widths), when they all take the same width and it
+// lies on the σ² grid.
+func (p *graphPlan) uniformWidth(a Assignment) (int, bool) {
+	sources := p.snap.NoiseSources()
+	w := sigmaGridMin - 1
+	for i, id := range sources {
+		f := p.snap.Node(id).Noise.Frac
+		if af, ok := a[id]; ok {
+			f = af
+		}
+		if i == 0 {
+			w = f
+		} else if f != w {
+			return 0, false
+		}
+	}
+	return w, w >= sigmaGridMin && w <= sigmaGridMax
+}
+
+// clone returns a deep copy of r, with its own PSD bins and PerSource rows.
+func (r *Result) clone() *Result {
+	c := *r
+	c.PSD.Bins = slices.Clone(r.PSD.Bins)
+	c.PerSource = slices.Clone(r.PerSource)
+	return &c
 }
 
 // evaluateFull is the full per-source propagation — the reference path.

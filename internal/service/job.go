@@ -177,7 +177,8 @@ type job struct {
 	latest  Event
 	subs    map[int]chan Event // one-slot mailboxes; nil until a watcher subscribes
 	nextSub int
-	// done is closed at the terminal transition, unless muted.
+	// done is closed once the terminal transition's onDone hook has run
+	// (see notifyDone), unless muted.
 	done chan struct{}
 
 	// muted aliases the manager's halted flag: a crash-stopped manager
@@ -238,8 +239,8 @@ func errCode(err error) string {
 // block: a mailbox still holding an unread event has it replaced by the
 // newer one, so a slow watcher skips progress but always ends on the
 // terminal event. This is the only sender, under j.mu, so the slot it
-// empties stays free for it. The terminal event also closes done and
-// every mailbox.
+// empties stays free for it. The terminal event also closes every
+// mailbox; done closes later, in notifyDone.
 func (j *job) publishLocked(ev Event) {
 	ev.Seq = j.latest.Seq + 1
 	ev.JobID = j.id
@@ -259,7 +260,6 @@ func (j *job) publishLocked(ev Event) {
 		}
 	}
 	if ev.Terminal {
-		close(j.done)
 		for id, ch := range j.subs {
 			close(ch)
 			delete(j.subs, id)
@@ -312,6 +312,11 @@ func (j *job) notifyDone() {
 	j.endTrace(info)
 	if j.onDone != nil {
 		j.onDone(info)
+	}
+	// Closing done after the hook means a Wait that returns has seen the
+	// hook run. A halted manager stays silent, as publishLocked does.
+	if !j.muted.Load() {
+		close(j.done)
 	}
 }
 

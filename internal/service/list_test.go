@@ -4,7 +4,9 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // submitDistinct runs n jobs to completion, each with a distinct options
@@ -178,5 +180,24 @@ func TestOnJobDoneFiresOncePerTerminalJob(t *testing.T) {
 	}
 	if seen[dup.ID] != 1 || states[dup.ID] != JobDone {
 		t.Fatalf("cache-hit hook: %d calls, state %s", seen[dup.ID], states[dup.ID])
+	}
+}
+
+// TestWaitReturnsAfterOnJobDone: Wait returns only once the job's
+// terminal hook has run, so a caller that waited sees what the hook
+// recorded (the API layer's latency histograms among it).
+func TestWaitReturnsAfterOnJobDone(t *testing.T) {
+	var hooked atomic.Bool
+	m := testManager(t, Config{Workers: 1, OnJobDone: func(*JobInfo) {
+		time.Sleep(20 * time.Millisecond)
+		hooked.Store(true)
+	}})
+	info, err := m.Submit(Request{System: "fir-lp31(tab1)", Options: testOptions("descent")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, m, info.ID)
+	if !hooked.Load() {
+		t.Fatal("Wait returned before the job's OnJobDone hook ran")
 	}
 }

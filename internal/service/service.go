@@ -80,6 +80,7 @@ type Config struct {
 	// terminal state, with the job's final snapshot. It runs outside the
 	// manager and job locks on whichever goroutine drove the transition —
 	// the API layer uses it to feed latency histograms; keep it fast.
+	// Manager.Wait returns only after it has run.
 	OnJobDone func(*JobInfo)
 	// Tracer, when non-nil, records a span tree per job: queue wait,
 	// coalesce, store probe, plan build/restore, search and persist
@@ -1174,11 +1175,12 @@ func (m *Manager) Watch(id string) (<-chan Event, func(), error) {
 	return ch, stop, nil
 }
 
-// Wait blocks until the job reaches a terminal state (or ctx expires) and
-// returns its final snapshot. It waits on the job's done signal, not on
-// its event stream. The snapshot is taken from the job itself, so the
-// result survives even if newer submissions evict the job from the
-// retained history while Wait is blocked.
+// Wait blocks until the job reaches a terminal state and its OnJobDone
+// hook has run (or ctx expires), and returns its final snapshot. It waits
+// on the job's done signal, not on its event stream. The snapshot is
+// taken from the job itself, so the result survives even if newer
+// submissions evict the job from the retained history while Wait is
+// blocked.
 func (m *Manager) Wait(ctx context.Context, id string) (*JobInfo, error) {
 	m.mu.Lock()
 	j, ok := m.jobs[id]

@@ -149,7 +149,7 @@ type Options struct {
 	MaxFrac      int                `json:"max_frac,omitempty"` // default 16
 	CostPerBit   map[string]float64 `json:"cost_per_bit,omitempty"`
 	Seed         int64              `json:"seed,omitempty"`
-	AnnealRounds int                `json:"anneal_rounds,omitempty"`
+	AnnealRounds int                `json:"anneal_rounds,omitempty"` // at most MaxAnnealRounds
 	// DeadlineMS bounds the job's total latency in milliseconds from
 	// submission: a job still queued at the deadline is shed with
 	// deadline_exceeded, a running search is truncated to its best-so-far
@@ -160,6 +160,11 @@ type Options struct {
 	// request un-deadlined.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
+
+// MaxAnnealRounds bounds anneal_rounds. One round scores 8 proposals;
+// 100,000 rounds search a 32-source system in about 0.6 s of one core and
+// allocate about 7 MB.
+const MaxAnnealRounds = 100000
 
 // IsZero reports whether no option field is set. DeadlineMS is ignored:
 // a request carrying only a deadline still defers to the spec's embedded
@@ -203,6 +208,9 @@ func (o Options) Validate() error {
 		if w <= 0 {
 			return fmt.Errorf("spec: options: cost_per_bit[%q] = %g must be positive", name, w)
 		}
+	}
+	if o.AnnealRounds > MaxAnnealRounds {
+		return fmt.Errorf("spec: options: anneal_rounds %d above the maximum %d", o.AnnealRounds, MaxAnnealRounds)
 	}
 	if o.DeadlineMS < 0 {
 		return fmt.Errorf("spec: options: deadline_ms %d must not be negative", o.DeadlineMS)

@@ -314,3 +314,16 @@ func TestOptionsFingerprint(t *testing.T) {
 		t.Fatal("different options should fingerprint differently")
 	}
 }
+
+// TestAnnealRoundsBound: anneal_rounds is accepted up to MaxAnnealRounds
+// and rejected one past it, naming the field.
+func TestAnnealRoundsBound(t *testing.T) {
+	o := Options{Strategy: "anneal", BudgetWidth: 8, AnnealRounds: MaxAnnealRounds}.WithDefaults()
+	if err := o.Validate(); err != nil {
+		t.Fatalf("anneal_rounds %d rejected: %v", o.AnnealRounds, err)
+	}
+	o.AnnealRounds++
+	if err := o.Validate(); err == nil || !strings.Contains(err.Error(), "anneal_rounds") {
+		t.Fatalf("anneal_rounds %d: error %v, want one naming the field", o.AnnealRounds, err)
+	}
+}

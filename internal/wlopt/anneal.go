@@ -1,6 +1,7 @@
 package wlopt
 
 import (
+	"maps"
 	"math"
 	"math/rand"
 
@@ -12,7 +13,7 @@ import (
 // random single-bit moves, accepting cost increases with the Metropolis
 // probability under a geometrically cooling temperature, and reports the
 // cheapest feasible assignment seen. Each round's proposals are scored as
-// one oracle batch, so they fan out across the worker pool; all randomness
+// one oracle round of moves (PowerMoves on core.Engine); all randomness
 // comes from a rand.Rand seeded with Options.Seed and is drawn in an order
 // independent of the pool width, so a fixed seed gives an identical result
 // at every Options.Workers value.
@@ -28,7 +29,7 @@ type annealStrategy struct{}
 func (annealStrategy) Name() string { return "anneal" }
 
 // annealProposals is the number of candidate moves scored per round (one
-// oracle batch). Fixed, so the oracle-call count is reproducible.
+// oracle round). Fixed, so the oracle-call count is reproducible.
 const annealProposals = 8
 
 // Run implements Strategy.
@@ -52,7 +53,9 @@ func (annealStrategy) Run(o *Oracle, opt Options) (*Result, error) {
 		return nil, err
 	}
 	curCost := o.Cost(cur)
-	best, bestCost, bestPower := cur, curCost, curPower
+	// An accepted move changes cur in place and an improvement is copied
+	// into best, so a round allocates nothing beyond its move scores.
+	best, bestCost, bestPower := cur.Clone(), curCost, curPower
 
 	rounds := opt.AnnealRounds
 	if rounds <= 0 {
@@ -71,45 +74,47 @@ func (annealStrategy) Run(o *Oracle, opt Options) (*Result, error) {
 	}
 	cooling := math.Pow(0.02, 1/float64(rounds)) // temp ends at 2 % of start
 
+	moves := make([]core.Move, annealProposals)
 	for r := 0; r < rounds; r++ {
 		if o.Cancelled() {
 			break
 		}
-		props := make([]core.Assignment, 0, annealProposals)
-		moves := make([]core.Move, 0, annealProposals)
-		for k := 0; k < annealProposals; k++ {
-			a := cur.Clone()
+		// Each proposal is a single-source change off cur, scored through
+		// the oracle's move path (scalar move scores on core.Engine).
+		for k := range moves {
 			id := sources[rng.Intn(len(sources))]
 			down := rng.Intn(2) == 0
-			if down && a[id] > opt.MinFrac {
-				a[id]--
-			} else if a[id] < opt.MaxFrac {
-				a[id]++
-			} else {
-				a[id]-- // at MaxFrac with an up draw; MinFrac < MaxFrac here
+			f := cur[id]
+			switch {
+			case down && f > opt.MinFrac:
+				f--
+			case f < opt.MaxFrac:
+				f++
+			default:
+				f-- // at MaxFrac with an up draw; MinFrac < MaxFrac here
 			}
-			props = append(props, a)
-			moves = append(moves, core.Move{Source: id, Frac: a[id]})
+			moves[k] = core.Move{Source: id, Frac: f}
 		}
-		// Each proposal is a single-source change off cur, so the round is
-		// scored through the oracle's move path (scalar move scores on
-		// core.Engine); the proposed assignments are kept for the
-		// acceptance bookkeeping below.
 		ps, err := o.PowersMoves(cur, moves)
 		if err != nil {
 			return nil, err
 		}
-		for i, a := range props {
+		for i, mv := range moves {
 			if ps[i] > opt.Budget {
 				continue // stay inside the feasible region
 			}
-			d := o.Cost(a) - curCost
+			// The full ordered sum, not curCost ± weight: curCost
+			// accumulates d, and only the same sum keeps fractional
+			// weights bit-identical.
+			d := o.moveCost(cur, mv) - curCost
 			if d > 0 && rng.Float64() >= math.Exp(-d/temp) {
 				continue
 			}
-			cur, curPower, curCost = a, ps[i], curCost+d
+			cur[mv.Source] = mv.Frac
+			curPower, curCost = ps[i], curCost+d
 			if curCost < bestCost || (curCost == bestCost && curPower < bestPower) {
-				best, bestCost, bestPower = cur, curCost, curPower
+				maps.Copy(best, cur)
+				bestCost, bestPower = curCost, curPower
 			}
 			break // one accepted move per round
 		}

@@ -19,8 +19,8 @@ type ascentStrategy struct{}
 // Name implements Strategy.
 func (ascentStrategy) Name() string { return "ascent" }
 
-// Run implements Strategy. All candidate increments of one step are scored
-// concurrently (see Options.Workers).
+// Run implements Strategy. Each step scores its candidate increments as
+// one oracle round of moves (see climb).
 func (ascentStrategy) Run(o *Oracle, opt Options) (*Result, error) {
 	res := &Result{Fracs: map[string]int{}}
 	if err := o.requireFeasible(opt); err != nil {
@@ -67,50 +67,39 @@ func (ascentStrategy) Run(o *Oracle, opt Options) (*Result, error) {
 // the core of the ascent strategy and the first phase of the hybrid
 // strategy.
 func climb(o *Oracle, opt Options, cur core.Assignment, power float64) (core.Assignment, float64, error) {
-	type cand struct {
-		id    sfg.NodeID
-		power float64
-		score float64 // noise reduction per unit cost
-	}
 	// The incumbent is owned by the loop (callers hand over a fresh
 	// assignment and use only the returned one), so accepted increments
-	// mutate it in place and the candidate buffers are reused across
-	// steps — no per-step allocation beyond the oracle round.
-	cands := make([]cand, 0, len(o.Sources()))
+	// mutate it in place and the move buffer is reused across steps — no
+	// per-step allocation beyond the oracle round.
 	moves := make([]core.Move, 0, len(o.Sources()))
 	for power > opt.Budget && !o.Cancelled() {
-		cands, moves = cands[:0], moves[:0]
+		moves = moves[:0]
 		for _, id := range o.Sources() {
-			if cur[id] >= opt.MaxFrac {
-				continue
+			if cur[id] < opt.MaxFrac {
+				moves = append(moves, core.Move{Source: id, Frac: cur[id] + 1})
 			}
-			cands = append(cands, cand{id: id})
-			moves = append(moves, core.Move{Source: id, Frac: cur[id] + 1})
 		}
-		if len(cands) == 0 {
+		if len(moves) == 0 {
 			return nil, 0, fmt.Errorf("wlopt: ascent stuck above budget (power %g > %g)", power, opt.Budget)
 		}
 		ps, err := o.PowersMoves(cur, moves)
 		if err != nil {
 			return nil, 0, err
 		}
-		best := cand{score: math.Inf(-1)}
-		found := false
-		for i := range cands {
-			cands[i].power = ps[i]
-			cands[i].score = (power - ps[i]) / o.Weight(cands[i].id)
-			// Strict > keeps the first best in source order, matching the
-			// serial scan for any worker count.
-			if cands[i].score > best.score {
-				best = cands[i]
-				found = true
+		// Take the largest noise reduction per unit cost. Strict > keeps
+		// the first best in source order, matching the serial scan for any
+		// worker count.
+		best, bestScore := -1, math.Inf(-1)
+		for i, mv := range moves {
+			if score := (power - ps[i]) / o.weights[mv.Source]; score > bestScore {
+				best, bestScore = i, score
 			}
 		}
-		if !found {
+		if best < 0 {
 			return nil, 0, fmt.Errorf("wlopt: ascent stuck above budget (power %g > %g)", power, opt.Budget)
 		}
-		cur[best.id]++
-		power = best.power
+		cur[moves[best].Source]++
+		power = ps[best]
 		o.StepDone(o.Cost(cur), power)
 	}
 	return cur, power, nil

@@ -1,8 +1,6 @@
 package wlopt
 
 import (
-	"sort"
-
 	"repro/internal/core"
 	"repro/internal/sfg"
 )
@@ -16,8 +14,8 @@ type descentStrategy struct{}
 // Name implements Strategy.
 func (descentStrategy) Name() string { return "descent" }
 
-// Run implements Strategy. All candidate removals of one step are scored
-// concurrently (see Options.Workers).
+// Run implements Strategy. Each step scores its candidate removals as one
+// oracle round of moves (see trim).
 func (descentStrategy) Run(o *Oracle, opt Options) (*Result, error) {
 	res := &Result{Fracs: map[string]int{}}
 	if err := o.requireFeasible(opt); err != nil {
@@ -63,56 +61,49 @@ func (descentStrategy) Run(o *Oracle, opt Options) (*Result, error) {
 // budget — callers needing a hard guarantee should pad the budget by a
 // part in 1e12.
 func trim(o *Oracle, opt Options, cur core.Assignment) (core.Assignment, error) {
-	type cand struct {
-		id    sfg.NodeID
-		power float64
-		gain  float64
-	}
 	// The incumbent is owned by the loop (callers hand over a fresh
 	// assignment and use only the returned one), so each accepted removal
-	// mutates it in place, and the per-step candidate buffers are reused
-	// across steps — the greedy loop allocates nothing per step beyond
-	// the oracle round itself.
-	cands := make([]cand, 0, len(o.Sources()))
+	// mutates it in place, and the move buffer is reused across steps —
+	// the greedy loop allocates nothing per step beyond the oracle round
+	// itself.
 	moves := make([]core.Move, 0, len(o.Sources()))
 	for !o.Cancelled() {
-		cands, moves = cands[:0], moves[:0]
+		moves = moves[:0]
 		for _, id := range o.Sources() {
-			if cur[id] <= opt.MinFrac {
-				continue
+			if cur[id] > opt.MinFrac {
+				moves = append(moves, core.Move{Source: id, Frac: cur[id] - 1})
 			}
-			cands = append(cands, cand{id: id, gain: o.Weight(id)})
-			moves = append(moves, core.Move{Source: id, Frac: cur[id] - 1})
 		}
-		if len(cands) == 0 {
+		if len(moves) == 0 {
 			break
 		}
 		ps, err := o.PowersMoves(cur, moves)
 		if err != nil {
 			return nil, err
 		}
-		feasible := cands[:0]
-		for i := range cands {
-			cands[i].power = ps[i]
-			if ps[i] <= opt.Budget {
-				feasible = append(feasible, cands[i])
+		// Among the feasible removals take the largest cost gain, then the
+		// smallest resulting power (keeps slack for later removals), then
+		// the first in source order, so the outcome is deterministic for
+		// any worker count.
+		best := -1
+		for i, mv := range moves {
+			if ps[i] > opt.Budget {
+				continue
+			}
+			if best < 0 {
+				best = i
+				continue
+			}
+			gain, bestGain := o.weights[mv.Source], o.weights[moves[best].Source]
+			if gain > bestGain || (gain == bestGain && ps[i] < ps[best]) {
+				best = i
 			}
 		}
-		if len(feasible) == 0 {
+		if best < 0 {
 			break
 		}
-		// Prefer the largest cost gain; break ties toward the smallest
-		// resulting power (keeps slack for later removals). The stable
-		// sort keeps source order as the final tie-break, so the outcome
-		// is deterministic for any worker count.
-		sort.SliceStable(feasible, func(i, j int) bool {
-			if feasible[i].gain != feasible[j].gain {
-				return feasible[i].gain > feasible[j].gain
-			}
-			return feasible[i].power < feasible[j].power
-		})
-		cur[feasible[0].id]--
-		o.StepDone(o.Cost(cur), feasible[0].power)
+		cur[moves[best].Source]--
+		o.StepDone(o.Cost(cur), ps[best])
 	}
 	return cur, nil
 }

@@ -3,11 +3,12 @@
 // bits to every quantization-noise source so that the output noise power
 // meets a budget at minimum hardware cost, using one of the analytical
 // evaluators from package core as its accuracy oracle. Because every search
-// procedure evaluates the system hundreds of times, the 3-5 orders of
+// procedure evaluates the system thousands of times, the 3-5 orders of
 // magnitude between analytical estimation and Monte-Carlo simulation
-// (Fig. 6) is the difference between milliseconds and days — and because
-// the candidate moves of one search step are independent, they are scored
-// concurrently through core.BatchEvaluator when the oracle supports it.
+// (Fig. 6) is the difference between milliseconds and days. Each greedy
+// step or annealing round scores its candidate moves as one oracle round;
+// on core.Engine that round is the scalar tier (PowerMoves), which runs
+// serially on transfer-cached plans.
 //
 // The search procedures themselves are pluggable: each one implements
 // Strategy and registers itself under a stable name (see strategy.go).
@@ -38,12 +39,15 @@ type Options struct {
 	// Evaluator is the accuracy oracle; nil selects the proposed PSD
 	// method with 256 bins, plan-cached and batch-parallel (core.Engine).
 	Evaluator core.Evaluator
-	// Workers bounds the number of concurrent candidate evaluations per
-	// search step when the default engine is used; <= 0 selects
-	// runtime.GOMAXPROCS(0). The optimization result is identical for
-	// every Workers value — only wall-clock time changes. A caller-
-	// provided Evaluator manages its own parallelism (batch-capable
-	// evaluators are fanned out; plain evaluators run serially).
+	// Workers sets the default engine's worker pool; <= 0 selects
+	// runtime.GOMAXPROCS(0). The pool widens only tier-2 batches (the
+	// uniform baseline's chunks of widths) and, on plans that fall back
+	// to full propagation, a round's moved assignments. Candidate rounds
+	// on transfer-cached plans go through PowerMoves serially whatever
+	// the value. The optimization result is identical for every Workers
+	// value — only wall-clock time changes. A caller-provided Evaluator
+	// manages its own parallelism (batch-capable evaluators are fanned
+	// out; plain evaluators run serially).
 	Workers int
 	// Seed seeds the randomized strategies ("anneal"); <= 0 selects 1.
 	// A fixed seed makes those strategies fully deterministic at any
@@ -126,10 +130,10 @@ type Result struct {
 type Oracle struct {
 	g           *sfg.Graph
 	sources     []sfg.NodeID
+	weights     []float64 // cost per bit, by NodeID; set for sources only
 	ev          core.Evaluator
 	batch       core.BatchEvaluator
 	scorer      core.MovePowerEvaluator
-	weight      func(string) float64
 	evaluations int
 
 	ctx      context.Context
@@ -147,8 +151,16 @@ func newOracle(g *sfg.Graph, opt Options) *Oracle {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	o := &Oracle{g: g, sources: g.NoiseSources(), ev: ev, weight: weightFn(opt),
-		ctx: ctx, progress: opt.Progress}
+	o := &Oracle{g: g, sources: g.NoiseSources(), ev: ev, ctx: ctx, progress: opt.Progress}
+	// Weights are looked up by source name once per run; the search loops
+	// index them by NodeID.
+	o.weights = make([]float64, len(g.Nodes()))
+	for _, id := range o.sources {
+		o.weights[id] = 1
+		if w, ok := opt.CostPerBit[g.Node(id).Noise.Name]; ok {
+			o.weights[id] = w
+		}
+	}
 	if b, ok := ev.(core.BatchEvaluator); ok {
 		o.batch = b
 	}
@@ -198,15 +210,28 @@ func (o *Oracle) Graph() *sfg.Graph { return o.g }
 func (o *Oracle) Sources() []sfg.NodeID { return o.sources }
 
 // Weight returns the configured cost-per-bit weight of a source node.
-func (o *Oracle) Weight(id sfg.NodeID) float64 {
-	return o.weight(o.g.Node(id).Noise.Name)
-}
+func (o *Oracle) Weight(id sfg.NodeID) float64 { return o.weights[id] }
 
 // Cost computes the weighted bit total of an assignment.
 func (o *Oracle) Cost(a core.Assignment) float64 {
 	var total float64
 	for _, id := range o.sources {
-		total += o.Weight(id) * float64(a[id])
+		total += o.weights[id] * float64(a[id])
+	}
+	return total
+}
+
+// moveCost is Cost of a with mv applied, without building the moved
+// assignment. It sums the same terms in the same order, so it equals
+// Cost of the moved assignment bit for bit.
+func (o *Oracle) moveCost(a core.Assignment, mv core.Move) float64 {
+	var total float64
+	for _, id := range o.sources {
+		f := a[id]
+		if id == mv.Source {
+			f = mv.Frac
+		}
+		total += o.weights[id] * float64(f)
 	}
 	return total
 }
@@ -332,7 +357,7 @@ func (o *Oracle) fillFromGraph(res *Result) {
 	for _, id := range o.sources {
 		n := o.g.Node(id)
 		res.Fracs[n.Noise.Name] = n.Noise.Frac
-		res.Cost += o.weight(n.Noise.Name) * float64(n.Noise.Frac)
+		res.Cost += o.weights[id] * float64(n.Noise.Frac)
 	}
 }
 
@@ -340,7 +365,7 @@ func (o *Oracle) fillFromGraph(res *Result) {
 func (o *Oracle) fillUniform(res *Result, frac int) {
 	res.UniformFrac = frac
 	for _, id := range o.sources {
-		res.UniformCost += o.Weight(id) * float64(frac)
+		res.UniformCost += o.weights[id] * float64(frac)
 	}
 }
 
@@ -352,18 +377,6 @@ func checkOptions(opt Options) error {
 		return fmt.Errorf("wlopt: bad width bounds [%d, %d]", opt.MinFrac, opt.MaxFrac)
 	}
 	return nil
-}
-
-func weightFn(opt Options) func(string) float64 {
-	return func(name string) float64 {
-		if opt.CostPerBit == nil {
-			return 1
-		}
-		if w, ok := opt.CostPerBit[name]; ok {
-			return w
-		}
-		return 1
-	}
 }
 
 // UniformBaseline finds the smallest uniform width meeting the budget,
