@@ -266,13 +266,15 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkWLOpt times the full word-length refinement loop on the paper's
-// DWT system with the plan-cached engine oracle, comparing a single-worker
-// pool against one worker per CPU. The sub-benchmarks must report identical
-// optimization results — only wall-clock may differ; the harness verifies
-// that before timing. This is the headline number of the parallel
-// evaluation engine: candidate moves of each greedy step fan out across
-// the pool.
+// BenchmarkWLOpt times one cold word-length refinement on the paper's DWT
+// system. Options.Evaluator is nil, so every op builds a fresh engine: the
+// row times the plan build, the σ²-table fill and the search together.
+// The workers=1 and workers=NumCPU rows differ only in the fresh engine's
+// pool width, which the search barely uses — candidate moves are scored
+// serially through PowerMoves. Both rows must return the same assignment;
+// the harness checks that before timing. BenchmarkWLOptParallel is the
+// warm-search row: the same search on a shared engine whose plans stay
+// cached between ops.
 func BenchmarkWLOpt(b *testing.B) {
 	maxFrac := 20
 	if testing.Short() {

@@ -21,19 +21,19 @@
 // has one) for capacity, retries the owner once, and then spills to the
 // next ring backend — a cold-cache plan build beats a rejection. Only
 // when every candidate is saturated does it answer 429 queue_full, with
-// Retry-After derived from the owner's probed queue occupancy. A
-// per-backend circuit breaker (-breaker-threshold consecutive proxy
-// failures to open, -breaker-cooldown before the half-open trial)
-// suspends backends that answer probes but fail real traffic. Reads
-// follow a job-ID affinity map with fan-out
-// fallback; GET /v1/jobs fans in across all healthy backends with a
-// composite cursor; ?watch=1 proxies the backend's SSE stream frame by
-// frame. Every proxied response carries X-Wlopt-Backend.
+// Retry-After derived from the owner's probed queue occupancy. Reads
+// follow a job-ID affinity map with fan-out fallback; GET /v1/jobs fans
+// in across all healthy backends with a composite cursor; ?watch=1
+// proxies the backend's SSE stream frame by frame. Every proxied response
+// carries X-Wlopt-Backend.
 //
-// Health: each backend is probed on /healthz every -probe-interval;
-// -eject-after consecutive failures eject it, -readmit-after consecutive
-// successes bring it back. A transport-level proxy failure ejects
-// immediately. /healthz on the router reports the pool view; /metrics
+// Health: each backend is probed on /healthz every -probe-interval and is
+// either admitted or ejected. -eject-after consecutive failures, probed
+// or proxied, eject it, and a transport-level proxy failure ejects it at
+// once; -eject-after consecutive passing probes readmit it, and any
+// failure restarts that count. A backend that answers probes but fails
+// real traffic thus gets one request per run of -eject-after passing
+// probes. /healthz on the router reports the pool view; /metrics
 // exposes wloptr_* counters, gauges, and latency histograms.
 package main
 
@@ -59,11 +59,8 @@ func main() {
 		maxBody       = flag.Int64("max-body", 1<<20, "maximum request body bytes")
 		probeInterval = flag.Duration("probe-interval", 2*time.Second, "backend /healthz probe period")
 		probeTimeout  = flag.Duration("probe-timeout", time.Second, "per-probe timeout")
-		ejectAfter    = flag.Int("eject-after", 3, "consecutive probe failures before ejection")
-		readmitAfter  = flag.Int("readmit-after", 2, "consecutive probe successes before readmission")
+		ejectAfter    = flag.Int("eject-after", 3, "consecutive failures before ejection, and consecutive passing probes before readmission")
 		spillWait     = flag.Duration("spill-wait", 0, "grace period before spilling past a saturated shard owner (0 = 250ms)")
-		brkThreshold  = flag.Int("breaker-threshold", 0, "consecutive proxy failures before a backend's circuit breaker opens (0 = 5)")
-		brkCooldown   = flag.Duration("breaker-cooldown", 0, "open-breaker cooldown before the half-open trial request (0 = 5s)")
 		logFormat     = flag.String("log", "text", "log format: text or json")
 	)
 	flag.Parse()
@@ -84,14 +81,11 @@ func main() {
 
 	rt := router.New(router.Config{
 		Pool: router.PoolConfig{
-			Backends:         pool,
-			InFlight:         *inflight,
-			ProbeInterval:    *probeInterval,
-			ProbeTimeout:     *probeTimeout,
-			EjectAfter:       *ejectAfter,
-			ReadmitAfter:     *readmitAfter,
-			BreakerThreshold: *brkThreshold,
-			BreakerCooldown:  *brkCooldown,
+			Backends:      pool,
+			InFlight:      *inflight,
+			ProbeInterval: *probeInterval,
+			ProbeTimeout:  *probeTimeout,
+			EjectAfter:    *ejectAfter,
 		},
 		MaxBody:   *maxBody,
 		Addr:      *addr,

@@ -75,7 +75,6 @@ func newCluster(t *testing.T, n int, cfg service.Config) (*api.Client, *router.R
 			ProbeInterval: 20 * time.Millisecond,
 			ProbeTimeout:  2 * time.Second,
 			EjectAfter:    2,
-			ReadmitAfter:  2,
 		},
 		Addr: "router:0",
 	})
@@ -554,7 +553,6 @@ func TestWatchReconnectThroughCrashRecovery(t *testing.T) {
 			ProbeInterval: 20 * time.Millisecond,
 			ProbeTimeout:  2 * time.Second,
 			EjectAfter:    2,
-			ReadmitAfter:  1,
 		},
 		Addr: "router:0",
 	})
@@ -700,7 +698,6 @@ func TestClusterSurvivesInjectedFaults(t *testing.T) {
 			ProbeInterval: 20 * time.Millisecond,
 			ProbeTimeout:  2 * time.Second,
 			EjectAfter:    3,
-			ReadmitAfter:  1,
 			HTTPClient:    &http.Client{Transport: ftr},
 		},
 		Addr: "router:0",

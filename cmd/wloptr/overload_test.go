@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -28,11 +29,11 @@ import (
 // the cold backend; a short-deadline job queued behind a busy worker is
 // answered deadline_exceeded before any search runs; a mid-deadline job
 // gets a degraded best-so-far that is never cached; and a backend that
-// probes healthy but fails traffic trips the circuit breaker, then
-// recovers through a half-open trial.
+// probes healthy but fails traffic is offered a bounded share of it, then
+// serves its shard again once it stops failing.
 
 // newClusterMut is newCluster with a hook to adjust the router config
-// before construction (spill policy, breaker tuning, fault transports).
+// before construction (spill policy, probe timing, fault transports).
 func newClusterMut(t *testing.T, n int, cfg service.Config, mut func(*router.Config)) (*api.Client, *router.Router, []*backendFixture) {
 	t.Helper()
 	nodes := []string{"b1", "b2", "b3", "b4"}[:n]
@@ -48,7 +49,6 @@ func newClusterMut(t *testing.T, n int, cfg service.Config, mut func(*router.Con
 			ProbeInterval: 20 * time.Millisecond,
 			ProbeTimeout:  2 * time.Second,
 			EjectAfter:    2,
-			ReadmitAfter:  1,
 		},
 		Addr: "router:0",
 	}
@@ -335,14 +335,19 @@ func TestOverloadMidDeadlineDegradesUncached(t *testing.T) {
 	cancelAndDrain(t, cl, again.ID)
 }
 
-// TestOverloadBreakerOpensAndRecovers: the flapping row. One backend
+// TestOverloadFlappingOwnerBounded: the flapping row. The shard owner
 // answers every health probe but fails every proxied submit (injected via
-// a path-matched fault transport), so eject/readmit hysteresis alone
-// would retry it forever. The breaker opens after three consecutive proxy
-// failures — while every client submission still succeeds on the healthy
-// peer — and, once the flapping stops, recovers through a half-open trial
-// back to serving its shard.
-func TestOverloadBreakerOpensAndRecovers(t *testing.T) {
+// a path-matched fault transport). Each failure ejects it, and only a
+// fresh run of EjectAfter passing probes readmits it, so while it flaps
+// every client submission succeeds on the healthy peer and the owner is
+// offered at most one submit per (EjectAfter-1) probe intervals. Once the
+// flapping stops, the owner serves its shard again.
+func TestOverloadFlappingOwnerBounded(t *testing.T) {
+	const (
+		ejectAfter = 3
+		interval   = 10 * time.Millisecond
+		window     = 300 * time.Millisecond
+	)
 	ctx := context.Background()
 	var flapOn atomic.Bool
 	var flapHost atomic.Value
@@ -356,67 +361,56 @@ func TestOverloadBreakerOpensAndRecovers(t *testing.T) {
 	})
 	cl, rt, backends := newClusterMut(t, 2, service.Config{}, func(rc *router.Config) {
 		rc.Pool.HTTPClient = &http.Client{Transport: ftr}
-		rc.Pool.ProbeInterval = 10 * time.Millisecond
-		rc.Pool.BreakerThreshold = 3
-		rc.Pool.BreakerCooldown = 200 * time.Millisecond
+		rc.Pool.ProbeInterval = interval
+		rc.Pool.EjectAfter = ejectAfter
 	})
 	owner, other := ownerOf(t, rt, backends, "dwt97(fig3)")
 	flapHost.Store(strings.TrimPrefix(owner.url, "http://"))
 	flapOn.Store(true)
 
-	waitHealthy := func(what string) {
-		t.Helper()
-		for deadline := time.Now().Add(10 * time.Second); !rt.Pool().Healthy(owner.url); {
-			if time.Now().After(deadline) {
-				t.Fatalf("timeout waiting for %s", what)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-
 	seed := int64(300)
-	for i := 0; rt.Pool().Breaker(owner.url) != "open"; i++ {
-		if i >= 50 {
-			t.Fatal("breaker never opened on the flapping backend")
-		}
-		// Each submission must find the flapping owner admitted, so the
-		// proxy attempt (and its transport failure) lands on the breaker.
-		waitHealthy("probe readmission of the flapping backend")
+	submit := func() *backendFixture {
+		t.Helper()
 		seed++
 		info, err := cl.Submit(ctx, service.Request{
 			System: "dwt97(fig3)", Options: testOptions("descent", seed),
 		})
 		if err != nil {
-			t.Fatalf("submission %d failed during flapping (ring walk broken): %v", i, err)
+			t.Fatalf("submission %d failed: %v", seed, err)
 		}
-		if got := byNode(t, backends, info.ID); got != other {
+		return byNode(t, backends, info.ID)
+	}
+
+	start := time.Now()
+	for time.Since(start) < window {
+		if got := submit(); got != other {
 			t.Fatalf("job served by the flapping backend %s", got.node)
 		}
+		time.Sleep(2 * time.Millisecond)
 	}
-	if m := scrapeMetrics(t, cl.BaseURL()); !strings.Contains(m, `to="open"`) {
-		t.Fatal("breaker transition to open not counted")
+	elapsed := time.Since(start)
+	failed := ftr.Stats().Errors
+	bound := 1 + int64(elapsed/((ejectAfter-1)*interval))
+	t.Logf("%d submits tried on the flapping owner in %v (bound %d)", failed, elapsed, bound)
+	if failed > bound {
+		t.Fatalf("flapping owner was offered %d submits in %v, want <= %d", failed, elapsed, bound)
+	}
+	if failed < 2 {
+		t.Fatalf("flapping owner was offered %d submits in %v: passing probes never readmitted it", failed, elapsed)
+	}
+	ejections := fmt.Sprintf("wloptr_ejections_total{backend=%q} %d\n", owner.url, failed)
+	if m := scrapeMetrics(t, cl.BaseURL()); !strings.Contains(m, ejections) {
+		t.Fatalf("metrics lack %q", ejections)
 	}
 
-	// Recovery: stop the flapping, wait out the cooldown, and the next
-	// submission through the half-open trial lands on the owner again.
+	// Recovery: stop the flapping; after a run of passing probes the owner
+	// is readmitted and serves its shard again.
 	flapOn.Store(false)
-	time.Sleep(250 * time.Millisecond)
-	for i := 0; ; i++ {
-		if i >= 50 {
-			t.Fatalf("breaker never recovered: state %q", rt.Pool().Breaker(owner.url))
+	for i := 0; submit() != owner; i++ {
+		if i >= 100 {
+			t.Fatal("the owner never served its shard again after the flapping stopped")
 		}
-		waitHealthy("readmission after flapping stopped")
-		seed++
-		info, err := cl.Submit(ctx, service.Request{
-			System: "dwt97(fig3)", Options: testOptions("descent", seed),
-		})
-		if err != nil {
-			t.Fatalf("submission failed after recovery: %v", err)
-		}
-		if byNode(t, backends, info.ID) == owner && rt.Pool().Breaker(owner.url) == "closed" {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(interval)
 	}
 }
 

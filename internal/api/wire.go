@@ -136,12 +136,9 @@ type BackendHealth struct {
 	Failures int64 `json:"failures"`
 	// ConsecFailures counts failures since the last success (probe or
 	// proxied call); it resets to zero on any success, so a non-zero value
-	// means the backend is failing right now, not that it ever failed.
+	// means the backend is failing right now, not that it ever failed. It
+	// is the count the router ejects the backend on.
 	ConsecFailures int `json:"consec_failures"`
-	// Breaker is the per-backend circuit breaker state: "closed" (normal),
-	// "open" (proxying suspended after consecutive failures) or
-	// "half_open" (cooldown over; the next request is the trial probe).
-	Breaker string `json:"breaker"`
 	// QueueLen, QueueCap and RetryAfterS mirror the backend's own queue
 	// census from its last successful health probe: the occupancy signal
 	// behind the router's spill decisions, and the backend's drain-rate

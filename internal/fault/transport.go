@@ -28,8 +28,9 @@ type TransportConfig struct {
 	// consuming randomness, so the fault sequence over matched calls is
 	// unchanged by unmatched traffic). nil matches everything. A Match on
 	// the URL path makes a backend flap selectively — failing proxied
-	// /v1/jobs calls while answering /healthz probes — which is exactly
-	// the shape the router's circuit breaker exists to catch.
+	// /v1/jobs calls while answering /healthz probes — the shape that
+	// gets the router to eject it on every failure and readmit it on the
+	// probes that follow.
 	Match func(*http.Request) bool
 	// Next performs the real calls; nil selects http.DefaultTransport.
 	Next http.RoundTripper

@@ -13,42 +13,16 @@ import (
 )
 
 // Pool state errors, mapped by the router to wire codes: ErrNoBackend →
-// 503 no_backend, ErrBackendBusy → 429 queue_full (+ Retry-After);
-// ErrBreakerOpen skips the backend on the ring walk like an ejection.
+// 503 no_backend, ErrBackendBusy → 429 queue_full (+ Retry-After).
 var (
 	ErrNoBackend   = errors.New("no healthy backend")
 	ErrBackendBusy = errors.New("backend at in-flight capacity")
-	ErrBreakerOpen = errors.New("backend circuit breaker open")
 )
 
-// breakerState is the per-backend circuit breaker position. The breaker
-// is layered on (not merged into) the eject/readmit hysteresis: ejection
-// reacts to *probe* reachability, while the breaker tracks consecutive
-// *proxy* failures across readmissions — a flapping backend that answers
-// every probe but fails every real request gets readmitted over and over
-// by the prober, and without the breaker each readmission lets it eat
-// another request plus its retry budget.
-type breakerState int
-
-const (
-	// breakerClosed: normal operation; failures are being counted.
-	breakerClosed breakerState = iota
-	// breakerOpen: proxying suspended until the cooldown elapses.
-	breakerOpen
-	// breakerHalfOpen: cooldown over; exactly one trial request is
-	// admitted. Success closes the breaker, failure re-opens it.
-	breakerHalfOpen
-)
-
-func (s breakerState) String() string {
-	switch s {
-	case breakerOpen:
-		return "open"
-	case breakerHalfOpen:
-		return "half_open"
-	}
-	return "closed"
-}
+// errNoVerdict, handed to an Acquire release, returns the slot without
+// judging the backend: the request ended on its client's side (a hang-up
+// or a deadline), which says nothing about the backend's health.
+var errNoVerdict = errors.New("request ended by its client")
 
 // PoolConfig configures the health-checked backend set.
 type PoolConfig struct {
@@ -63,31 +37,20 @@ type PoolConfig struct {
 	// bounds each probe (<=0: 1s).
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
-	// EjectAfter ejects a backend after that many consecutive probe
-	// failures (<=0: 3); ReadmitAfter readmits after that many consecutive
-	// successes (<=0: 2). A transport-level proxy failure ejects
-	// immediately (passive detection) — readmission always goes through
-	// the probe path.
-	EjectAfter   int
-	ReadmitAfter int
-	// BreakerThreshold opens a backend's circuit breaker after that many
-	// consecutive proxy failures (<=0: 5). Unlike eject/readmit — which a
-	// passing probe resets — the breaker count persists across
-	// readmissions and only a successful proxied request clears it, so a
-	// backend that probes healthy but fails real traffic stays suspended.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker suspends proxying
-	// before admitting one half-open trial request (<=0: 5s).
-	BreakerCooldown time.Duration
+	// EjectAfter is the one health threshold (<=0: 3). An admitted backend
+	// is ejected after that many consecutive failures, probed or proxied,
+	// and a transport failure on a proxied request ejects it at once. An
+	// ejected backend is readmitted after that many consecutive passing
+	// probes; any failure restarts the count. A backend that passes probes
+	// but fails real traffic is therefore offered one request per run of
+	// EjectAfter passing probes, more than EjectAfter-1 probe intervals.
+	EjectAfter int
 	// HTTPClient overrides the probe/proxy transport (tests inject
 	// httptest clients). Must not set a global Timeout.
 	HTTPClient *http.Client
 	// OnEject and OnReadmit observe health transitions (metrics, logs).
 	OnEject   func(addr string, reason error)
 	OnReadmit func(addr string)
-	// OnBreaker observes circuit-breaker transitions; state is the state
-	// just entered ("open", "half_open" or "closed").
-	OnBreaker func(addr, state string)
 	// Log receives health-transition log records. nil discards.
 	Log *slog.Logger
 }
@@ -106,15 +69,6 @@ func (c *PoolConfig) withDefaults() PoolConfig {
 	if out.EjectAfter <= 0 {
 		out.EjectAfter = 3
 	}
-	if out.ReadmitAfter <= 0 {
-		out.ReadmitAfter = 2
-	}
-	if out.BreakerThreshold <= 0 {
-		out.BreakerThreshold = 5
-	}
-	if out.BreakerCooldown <= 0 {
-		out.BreakerCooldown = 5 * time.Second
-	}
 	if out.Log == nil {
 		out.Log = slog.New(slog.DiscardHandler)
 	}
@@ -126,26 +80,20 @@ type backend struct {
 	addr   string
 	client *api.Client
 
-	mu        sync.Mutex
-	healthy   bool
-	consecBad int // consecutive probe failures while healthy
-	consecOK  int // consecutive probe successes while ejected
-	// consecFail counts failures (probe or proxy) since the last success
-	// of either kind — the /healthz signal for "failing right now", as
-	// opposed to the lifetime failures counter.
+	mu sync.Mutex
+	// healthy is the backend's one health state: admitted or ejected.
+	healthy bool
+	// consecFail counts failures (probe or proxied) since the last success
+	// of either kind: ejection reads it, and /healthz reports it as "failing
+	// right now", as opposed to the lifetime failures counter.
 	consecFail int
+	// consecPass counts passing probes since the last failure; readmission
+	// reads it.
+	consecPass int
 	inFlight   int   // router-side outstanding requests
 	requests   int64 // proxied requests since boot
 	failures   int64 // transport-level failures since boot
 	lastErr    string
-
-	// Circuit breaker state. brkFails counts consecutive proxy failures;
-	// probe successes do NOT reset it (probing healthy while failing
-	// traffic is exactly the flapping case the breaker exists for).
-	brkState breakerState
-	brkFails int
-	brkSince time.Time // when the breaker last opened
-	brkTrial bool      // half-open: the single trial slot is taken
 
 	// lastStats is the backend's own queue census from its most recent
 	// successful health probe (nil until one succeeds).
@@ -242,45 +190,28 @@ func (p *Pool) probeAll() {
 	wg.Wait()
 }
 
-// recordProbe applies one probe result to the eject/readmit counters and
-// captures the backend's queue census. Probe successes deliberately do
-// not touch the circuit breaker: only a successful proxied request (the
-// half-open trial) closes it.
+// recordProbe applies one probe result to the backend's health and
+// captures its queue census.
 func (p *Pool) recordProbe(b *backend, h *api.Health, err error) {
 	var ejected, readmitted bool
 	b.mu.Lock()
 	if err != nil {
-		b.lastErr = err.Error()
-		b.consecOK = 0
-		b.consecFail++
-		if b.healthy {
-			b.consecBad++
-			if b.consecBad >= p.cfg.EjectAfter {
-				b.healthy = false
-				ejected = true
-			}
-		}
+		ejected = p.failLocked(b, err, false)
 	} else {
-		b.consecBad = 0
-		b.consecFail = 0
 		if h != nil && h.Stats != nil {
 			b.lastStats = h.Stats
 		}
-		if !b.healthy {
-			b.consecOK++
-			if b.consecOK >= p.cfg.ReadmitAfter {
-				b.healthy = true
-				b.lastErr = ""
-				readmitted = true
-			}
+		b.consecFail = 0
+		b.consecPass++
+		if !b.healthy && b.consecPass >= p.cfg.EjectAfter {
+			b.healthy = true
+			b.lastErr = ""
+			readmitted = true
 		}
 	}
 	b.mu.Unlock()
 	if ejected {
-		p.cfg.Log.Warn("backend ejected", "backend", b.addr, "cause", "probe", "err", err)
-		if p.cfg.OnEject != nil {
-			p.cfg.OnEject(b.addr, err)
-		}
+		p.ejected(b.addr, "probe", err)
 	}
 	if readmitted {
 		p.cfg.Log.Info("backend readmitted", "backend", b.addr)
@@ -290,154 +221,88 @@ func (p *Pool) recordProbe(b *backend, h *api.Health, err error) {
 	}
 }
 
+// failLocked records one failure against b and reports whether it ejected
+// b: a proxied transport failure ejects an admitted backend at once, a
+// probe failure only as the EjectAfter-th in a row. Caller holds b.mu.
+func (p *Pool) failLocked(b *backend, err error, proxied bool) bool {
+	b.lastErr = err.Error()
+	b.consecPass = 0
+	b.consecFail++
+	if proxied {
+		b.failures++
+	}
+	if b.healthy && (proxied || b.consecFail >= p.cfg.EjectAfter) {
+		b.healthy = false
+		return true
+	}
+	return false
+}
+
+// ejected publishes an ejection.
+func (p *Pool) ejected(addr, cause string, err error) {
+	p.cfg.Log.Warn("backend ejected", "backend", addr, "cause", cause, "err", err)
+	if p.cfg.OnEject != nil {
+		p.cfg.OnEject(addr, err)
+	}
+}
+
 // Acquire admits one request against addr: it fails with ErrNoBackend if
-// the backend is ejected, ErrBreakerOpen if its circuit breaker is
-// suspending traffic, and ErrBackendBusy if its in-flight bound is
+// the backend is ejected and ErrBackendBusy if its in-flight bound is
 // reached; otherwise it reserves a slot and returns the client plus a
 // release function the caller must invoke when the proxied request ends.
-// release reports whether the request failed at the transport level —
-// true ejects the backend immediately (passive detection) and feeds the
-// breaker. An open breaker whose cooldown has elapsed moves to half-open
-// here and admits exactly one trial request.
+// release(nil) records a success, release(errNoVerdict) only returns the
+// slot, and any other error is a transport failure that ejects the
+// backend at once (passive detection).
 func (p *Pool) Acquire(addr string) (cl *api.Client, release func(transportErr error), err error) {
 	b := p.backends[addr]
 	if b == nil {
 		return nil, nil, ErrNoBackend
 	}
 	b.mu.Lock()
-	var transition string
+	defer b.mu.Unlock()
 	if !b.healthy {
-		b.mu.Unlock()
 		return nil, nil, ErrNoBackend
 	}
-	if b.brkState == breakerOpen {
-		if time.Since(b.brkSince) < p.cfg.BreakerCooldown {
-			b.mu.Unlock()
-			return nil, nil, ErrBreakerOpen
-		}
-		b.brkState = breakerHalfOpen
-		b.brkTrial = false
-		transition = "half_open"
-	}
-	if b.brkState == breakerHalfOpen && b.brkTrial {
-		b.mu.Unlock()
-		p.breakerChanged(b.addr, transition)
-		return nil, nil, ErrBreakerOpen
-	}
 	if b.inFlight >= p.cfg.InFlight {
-		b.mu.Unlock()
-		p.breakerChanged(b.addr, transition)
 		return nil, nil, ErrBackendBusy
-	}
-	if b.brkState == breakerHalfOpen {
-		b.brkTrial = true
 	}
 	b.inFlight++
 	b.requests++
-	cl = b.client
-	b.mu.Unlock()
-	p.breakerChanged(b.addr, transition)
-	return cl, func(transportErr error) { p.release(b, transportErr) }, nil
+	return b.client, func(transportErr error) { p.release(b, transportErr) }, nil
 }
 
-// release returns the admission slot, applies passive ejection, and
-// drives the circuit breaker: a failure re-opens a half-open breaker (or
-// opens a closed one at the threshold); a success closes it.
+// release returns the admission slot and judges the backend by how its
+// request ended.
 func (p *Pool) release(b *backend, transportErr error) {
 	var ejected bool
-	var transition string
 	b.mu.Lock()
 	b.inFlight--
-	if transportErr != nil {
-		b.failures++
-		b.lastErr = transportErr.Error()
-		b.consecOK = 0
-		b.consecFail++
-		transition = b.breakerFailLocked(p.cfg.BreakerThreshold)
-		if b.healthy {
-			b.healthy = false
-			ejected = true
-		}
-	} else {
+	switch transportErr {
+	case nil:
 		b.consecFail = 0
-		b.brkFails = 0
-		if b.brkState != breakerClosed {
-			b.brkState = breakerClosed
-			b.brkTrial = false
-			transition = "closed"
-		}
+	case errNoVerdict: // the slot only
+	default:
+		ejected = p.failLocked(b, transportErr, true)
 	}
 	b.mu.Unlock()
 	if ejected {
-		p.cfg.Log.Warn("backend ejected", "backend", b.addr, "cause", "proxy", "err", transportErr)
-		if p.cfg.OnEject != nil {
-			p.cfg.OnEject(b.addr, transportErr)
-		}
-	}
-	p.breakerChanged(b.addr, transition)
-}
-
-// breakerFailLocked records one proxy failure against the breaker and
-// returns the transition it caused, if any. Caller holds b.mu.
-func (b *backend) breakerFailLocked(threshold int) string {
-	b.brkFails++
-	switch {
-	case b.brkState == breakerHalfOpen:
-		// The trial failed: straight back to open for another cooldown.
-		b.brkState = breakerOpen
-		b.brkSince = time.Now()
-		b.brkTrial = false
-		return "open"
-	case b.brkState == breakerClosed && b.brkFails >= threshold:
-		b.brkState = breakerOpen
-		b.brkSince = time.Now()
-		return "open"
-	}
-	return ""
-}
-
-// breakerChanged publishes a breaker transition (no-op for "").
-func (p *Pool) breakerChanged(addr, state string) {
-	if state == "" {
-		return
-	}
-	p.cfg.Log.Warn("backend breaker transition", "backend", addr, "state", state)
-	if p.cfg.OnBreaker != nil {
-		p.cfg.OnBreaker(addr, state)
+		p.ejected(b.addr, "proxy", transportErr)
 	}
 }
 
 // ReportFailure applies passive ejection for a transport failure seen
-// outside the Acquire/release path (read-side proxying). Read-side
-// failures count toward opening the breaker, but never consume the
-// half-open trial — only a proxied submit does that.
+// outside the Acquire/release path (read-side proxying).
 func (p *Pool) ReportFailure(addr string, err error) {
 	b := p.backends[addr]
 	if b == nil {
 		return
 	}
-	var ejected bool
-	var transition string
 	b.mu.Lock()
-	b.failures++
-	b.lastErr = err.Error()
-	b.consecOK = 0
-	b.consecFail++
-	if b.brkState == breakerClosed {
-		transition = b.breakerFailLocked(p.cfg.BreakerThreshold)
-	}
-	if b.healthy {
-		b.healthy = false
-		ejected = true
-	}
+	ejected := p.failLocked(b, err, true)
 	b.mu.Unlock()
 	if ejected {
-		p.cfg.Log.Warn("backend ejected", "backend", addr, "cause", "proxy", "err", err)
-		if p.cfg.OnEject != nil {
-			p.cfg.OnEject(addr, err)
-		}
+		p.ejected(addr, "proxy", err)
 	}
-	p.breakerChanged(addr, transition)
 }
 
 // Healthy reports whether addr is currently admitted.
@@ -477,7 +342,6 @@ func (p *Pool) Healthz() []api.BackendHealth {
 			Requests:       b.requests,
 			Failures:       b.failures,
 			ConsecFailures: b.consecFail,
-			Breaker:        b.brkState.String(),
 			LastError:      b.lastErr,
 		}
 		if b.lastStats != nil {
@@ -489,17 +353,6 @@ func (p *Pool) Healthz() []api.BackendHealth {
 		b.mu.Unlock()
 	}
 	return out
-}
-
-// Breaker reports addr's circuit-breaker state ("closed" if unknown).
-func (p *Pool) Breaker(addr string) string {
-	b := p.backends[addr]
-	if b == nil {
-		return breakerClosed.String()
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.brkState.String()
 }
 
 // RetryAfterHint estimates how long a rejected submitter should back off

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -46,7 +44,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // TestPoolEjectAndReadmit drives the active health loop: a backend that
 // fails EjectAfter consecutive probes is ejected, recovers after
-// ReadmitAfter consecutive successes, and transitions are observable via
+// EjectAfter consecutive successes, and transitions are observable via
 // the hooks and Healthz.
 func TestPoolEjectAndReadmit(t *testing.T) {
 	good := newFlakyBackend(t)
@@ -57,7 +55,6 @@ func TestPoolEjectAndReadmit(t *testing.T) {
 		ProbeInterval: 5 * time.Millisecond,
 		ProbeTimeout:  200 * time.Millisecond,
 		EjectAfter:    3,
-		ReadmitAfter:  2,
 		OnEject:       func(string, error) { ejects.Add(1) },
 		OnReadmit:     func(string) { readmits.Add(1) },
 	})
@@ -133,126 +130,98 @@ func TestPoolAdmissionBound(t *testing.T) {
 	}
 }
 
-// TestPoolBreakerOpensOnFlappingBackend drives the flapping scenario the
-// breaker exists for: a backend that answers every probe (so the
-// eject/readmit hysteresis keeps readmitting it) but fails every proxied
-// request. After BreakerThreshold consecutive proxy failures the breaker
-// opens and Acquire refuses despite the backend probing healthy; the
-// cooldown admits exactly one half-open trial; a successful trial closes
-// the breaker.
-func TestPoolBreakerOpensOnFlappingBackend(t *testing.T) {
+// TestPoolFlappingBackendBounded drives the flapping case: a backend that
+// answers every probe but fails every proxied request. Each failure
+// ejects it, only a fresh run of EjectAfter passing probes readmits it,
+// and between failures Acquire refuses it with ErrNoBackend — so it is
+// offered at most one request per (EjectAfter-1) probe intervals, however
+// eagerly traffic arrives.
+func TestPoolFlappingBackendBounded(t *testing.T) {
+	const (
+		ejectAfter = 3
+		interval   = 10 * time.Millisecond
+		window     = 200 * time.Millisecond
+	)
 	b := newFlakyBackend(t)
-	var mu sync.Mutex
-	var transitions []string
+	var ejects, readmits atomic.Int64
 	p := NewPool(PoolConfig{
-		Backends:         []string{b.ts.URL},
-		ProbeInterval:    2 * time.Millisecond,
-		ReadmitAfter:     1,
-		BreakerThreshold: 3,
-		BreakerCooldown:  50 * time.Millisecond,
-		OnBreaker: func(_, state string) {
-			mu.Lock()
-			transitions = append(transitions, state)
-			mu.Unlock()
-		},
+		Backends:      []string{b.ts.URL},
+		ProbeInterval: interval,
+		EjectAfter:    ejectAfter,
+		OnEject:       func(string, error) { ejects.Add(1) },
+		OnReadmit:     func(string) { readmits.Add(1) },
 	})
 	p.Start()
 	defer p.Close()
 	addr := b.ts.URL
 
-	// Three proxy failures, each followed by a probe-driven readmission:
-	// the probe successes must NOT reset the breaker count.
-	for i := 0; i < 3; i++ {
-		waitFor(t, "readmission", func() bool { return p.Healthy(addr) })
+	requests := 0
+	start := time.Now()
+	for time.Since(start) < window {
 		_, rel, err := p.Acquire(addr)
 		if err != nil {
-			t.Fatalf("Acquire before failure %d: %v", i+1, err)
+			if !errors.Is(err, ErrNoBackend) {
+				t.Fatalf("Acquire between failures: %v, want ErrNoBackend", err)
+			}
+			time.Sleep(time.Millisecond)
+			continue
 		}
+		requests++
 		rel(errors.New("injected transport failure"))
+		if _, _, err := p.Acquire(addr); !errors.Is(err, ErrNoBackend) {
+			t.Fatalf("Acquire right after a failed request: %v, want ErrNoBackend", err)
+		}
 	}
-	if got := p.Breaker(addr); got != "open" {
-		t.Fatalf("breaker %q after %d consecutive proxy failures, want open", got, 3)
-	}
+	elapsed := time.Since(start)
 
-	// Probes keep readmitting it, but the open breaker holds the line.
-	waitFor(t, "readmission after breaker opened", func() bool { return p.Healthy(addr) })
-	if _, _, err := p.Acquire(addr); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("Acquire during cooldown: %v, want ErrBreakerOpen", err)
+	bound := 1 + int(elapsed/((ejectAfter-1)*interval))
+	t.Logf("%d requests in %v (bound %d)", requests, elapsed, bound)
+	if requests > bound {
+		t.Fatalf("flapping backend got %d requests in %v, want <= %d", requests, elapsed, bound)
 	}
-
-	// Cooldown over: exactly one trial request is admitted.
-	time.Sleep(60 * time.Millisecond)
-	_, rel, err := p.Acquire(addr)
-	if err != nil {
-		t.Fatalf("half-open trial refused: %v", err)
+	if requests < 2 {
+		t.Fatalf("flapping backend got %d requests in %v: passing probes never readmitted it", requests, elapsed)
 	}
-	if got := p.Breaker(addr); got != "half_open" {
-		t.Fatalf("breaker %q during trial, want half_open", got)
+	if got := ejects.Load(); got != int64(requests) {
+		t.Fatalf("%d ejections for %d failed requests", got, requests)
 	}
-	if _, _, err := p.Acquire(addr); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("second Acquire during the trial: %v, want ErrBreakerOpen", err)
-	}
-	rel(nil) // trial succeeds
-	if got := p.Breaker(addr); got != "closed" {
-		t.Fatalf("breaker %q after successful trial, want closed", got)
-	}
-	if _, rel2, err := p.Acquire(addr); err != nil {
-		t.Fatalf("Acquire after close: %v", err)
-	} else {
-		rel2(nil)
-	}
-
-	mu.Lock()
-	got := strings.Join(transitions, ",")
-	mu.Unlock()
-	if got != "open,half_open,closed" {
-		t.Fatalf("transitions %q, want open,half_open,closed", got)
+	if got := readmits.Load(); got < int64(requests-1) {
+		t.Fatalf("%d readmissions between %d failed requests", got, requests)
 	}
 }
 
-// TestPoolBreakerReopensOnFailedTrial: a failed half-open trial goes
-// straight back to open for a fresh cooldown — no threshold re-count.
-func TestPoolBreakerReopensOnFailedTrial(t *testing.T) {
+// TestPoolReadmitRunRestartsOnFailure: the run of passing probes that
+// readmits an ejected backend is its trial, and any failure, probed or
+// proxied, voids it — readmission needs EjectAfter passes in a row after
+// the last failure. Probes are driven by hand, so the count is exact.
+func TestPoolReadmitRunRestartsOnFailure(t *testing.T) {
 	b := newFlakyBackend(t)
-	p := NewPool(PoolConfig{
-		Backends:         []string{b.ts.URL},
-		ProbeInterval:    2 * time.Millisecond,
-		ReadmitAfter:     1,
-		BreakerThreshold: 1,
-		BreakerCooldown:  30 * time.Millisecond,
-	})
-	p.Start()
-	defer p.Close()
+	p := NewPool(PoolConfig{Backends: []string{b.ts.URL}, EjectAfter: 3})
 	addr := b.ts.URL
 
-	_, rel, err := p.Acquire(addr)
-	if err != nil {
-		t.Fatal(err)
+	p.ReportFailure(addr, errors.New("injected transport failure"))
+	if p.Healthy(addr) {
+		t.Fatal("backend admitted after a proxied transport failure")
 	}
-	rel(errors.New("boom")) // threshold 1: breaker opens
-	waitFor(t, "readmission", func() bool { return p.Healthy(addr) })
-	time.Sleep(40 * time.Millisecond)
-
-	_, rel, err = p.Acquire(addr) // half-open trial
-	if err != nil {
-		t.Fatalf("trial refused: %v", err)
+	p.probeAll()
+	p.probeAll()
+	b.up.Store(false)
+	p.probeAll() // the third probe of the run fails: the run restarts
+	b.up.Store(true)
+	p.probeAll()
+	p.probeAll()
+	p.ReportFailure(addr, errors.New("read-side failure")) // restarts it again
+	for i := 1; i <= 3; i++ {
+		if p.Healthy(addr) {
+			t.Fatalf("readmitted after %d passing probes since the last failure, want 3", i-1)
+		}
+		p.probeAll()
 	}
-	rel(errors.New("boom again"))
-	if got := p.Breaker(addr); got != "open" {
-		t.Fatalf("breaker %q after failed trial, want open", got)
+	if !p.Healthy(addr) {
+		t.Fatal("not readmitted after 3 passing probes in a row")
 	}
-	waitFor(t, "readmission after failed trial", func() bool { return p.Healthy(addr) })
-	if _, _, err := p.Acquire(addr); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("Acquire inside the fresh cooldown: %v, want ErrBreakerOpen", err)
-	}
-	time.Sleep(40 * time.Millisecond)
-	_, rel, err = p.Acquire(addr)
-	if err != nil {
-		t.Fatalf("second trial refused: %v", err)
-	}
-	rel(nil)
-	if got := p.Breaker(addr); got != "closed" {
-		t.Fatalf("breaker %q after recovery, want closed", got)
+	if hz := p.Healthz(); hz[0].ConsecFailures != 0 || hz[0].LastError != "" {
+		t.Fatalf("readmitted backend still reports failing: %+v", hz[0])
 	}
 }
 
@@ -276,9 +245,6 @@ func TestPoolProbeCapturesStats(t *testing.T) {
 	hz := p.Healthz()
 	if hz[0].QueueLen != 6 || hz[0].QueueCap != 8 || hz[0].RetryAfterS != 7 {
 		t.Fatalf("Healthz occupancy not captured: %+v", hz[0])
-	}
-	if hz[0].Breaker != "closed" {
-		t.Fatalf("breaker %q on a healthy backend, want closed", hz[0].Breaker)
 	}
 }
 

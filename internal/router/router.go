@@ -24,6 +24,11 @@ import (
 // with curl -i) uses it to observe digest affinity directly.
 const BackendHeader = "X-Wlopt-Backend"
 
+// jobMapSize bounds the job-ID → backend affinity map. Entries beyond the
+// bound evict FIFO; lookups for evicted jobs fall back to fanning out
+// across the pool.
+const jobMapSize = 65536
+
 // Config configures the router front end.
 type Config struct {
 	// Pool configures the backend set (addresses, probing, admission).
@@ -36,10 +41,6 @@ type Config struct {
 	Addr    string
 	// Registry receives the router's wloptr_* metrics (nil creates one).
 	Registry *metrics.Registry
-	// JobMapSize bounds the job-ID → backend affinity map (<=0: 65536).
-	// Entries beyond the bound evict FIFO; lookups for evicted jobs fall
-	// back to fanning out across the pool.
-	JobMapSize int
 	// SpillWait bounds how long a submission waits for its saturated shard
 	// owner (in-flight bound hit, or the backend answered queue_full) to
 	// free capacity before spilling to the next ring backend — accepting a
@@ -87,9 +88,6 @@ func New(cfg Config) *Router {
 	if cfg.Registry == nil {
 		cfg.Registry = metrics.New()
 	}
-	if cfg.JobMapSize <= 0 {
-		cfg.JobMapSize = 65536
-	}
 	if cfg.SpillWait <= 0 {
 		cfg.SpillWait = 250 * time.Millisecond
 	}
@@ -102,7 +100,7 @@ func New(cfg Config) *Router {
 	rt := &Router{
 		cfg:   cfg,
 		reg:   cfg.Registry,
-		jobs:  newJobMap(cfg.JobMapSize),
+		jobs:  newJobMap(jobMapSize),
 		start: time.Now(),
 	}
 	api.RegisterBuildInfo(rt.reg, cfg.Version)
@@ -119,13 +117,6 @@ func New(cfg Config) *Router {
 		rt.reg.Counter("wloptr_readmissions_total", "Backends readmitted to the pool.", "backend", addr).Inc()
 		if userReadmit != nil {
 			userReadmit(addr)
-		}
-	}
-	userBreaker := pc.OnBreaker
-	pc.OnBreaker = func(addr, state string) {
-		rt.reg.Counter("wloptr_breaker_transitions_total", "Circuit-breaker state transitions per backend.", "backend", addr, "to", state).Inc()
-		if userBreaker != nil {
-			userBreaker(addr, state)
 		}
 	}
 	rt.pool = NewPool(pc)
@@ -298,7 +289,7 @@ const (
 	submitDone      submitOutcome = iota // response written; stop the walk
 	submitBusy                           // router-side in-flight bound hit
 	submitQueueFull                      // backend answered queue_full
-	submitSkip                           // ejected, breaker open, or transport failure
+	submitSkip                           // ejected, or transport failure
 )
 
 func (o submitOutcome) String() string {
@@ -328,16 +319,12 @@ func (rt *Router) proxySubmit(ctx context.Context, r *http.Request, w http.Respo
 	psp.SetAttr("attempt", strconv.Itoa(attempt))
 	cl, release, err := rt.pool.Acquire(addr)
 	if err != nil {
-		switch {
-		case errors.Is(err, ErrBackendBusy):
+		if errors.Is(err, ErrBackendBusy) {
 			psp.SetAttr("outcome", "busy")
 			psp.End()
 			return submitBusy, nil
-		case errors.Is(err, ErrBreakerOpen):
-			psp.SetAttr("outcome", "breaker_open")
-		default:
-			psp.SetAttr("outcome", "ejected")
 		}
+		psp.SetAttr("outcome", "ejected")
 		psp.End()
 		return submitSkip, nil // fail over along the ring
 	}
@@ -366,14 +353,14 @@ func (rt *Router) proxySubmit(ctx context.Context, r *http.Request, w http.Respo
 			api.WriteError(w, apiErr)
 			return submitDone, nil
 		}
-		// Client-side failure (disconnect or deadline mid-proxy): the
-		// backend is blameless — return the slot without ejecting, and
-		// skip the ring walk; retrying for a vanished client would only
-		// duplicate work.
+		// Client-side failure (disconnect or deadline mid-proxy): it says
+		// nothing about the backend, for or against — return the slot
+		// without a verdict, and skip the ring walk; retrying for a
+		// vanished client would only duplicate work.
 		if clientCaused(r, err) {
 			psp.SetAttr("outcome", "client_gone")
 			psp.End()
-			release(nil)
+			release(errNoVerdict)
 			writeErr(w, err)
 			return submitDone, nil
 		}

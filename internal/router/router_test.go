@@ -19,14 +19,15 @@ import (
 )
 
 // stallBackend fakes a healthy-but-slow wloptd: /healthz answers
-// immediately, POST /v1/jobs signals receipt and then blocks until the
-// request is abandoned. It lets the test hold a proxied submit open while
-// the client side walks away.
+// immediately (500 while down is set), POST /v1/jobs signals receipt and
+// then blocks until the request is abandoned. It lets the test hold a
+// proxied submit open while the client side walks away.
 type stallBackend struct {
 	ts       *httptest.Server
 	received chan struct{} // one signal per POST /v1/jobs
 	release  chan struct{} // closed at cleanup: unblocks stalled handlers
 	posts    atomic.Int64
+	down     atomic.Bool
 }
 
 func newStallBackend(t *testing.T) *stallBackend {
@@ -34,6 +35,10 @@ func newStallBackend(t *testing.T) *stallBackend {
 	b := &stallBackend{received: make(chan struct{}, 16), release: make(chan struct{})}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		if b.down.Load() {
+			http.Error(w, "down", http.StatusInternalServerError)
+			return
+		}
 		fmt.Fprint(w, `{"status":"ok","version":"test","uptime_s":1,"addr":"stall"}`)
 	})
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
@@ -106,6 +111,63 @@ func TestClientCancelDoesNotEject(t *testing.T) {
 	}
 	if total := b1.posts.Load() + b2.posts.Load(); total != 1 {
 		t.Errorf("submit proxied %d times, want 1 (no ring walk for a vanished client)", total)
+	}
+}
+
+// TestClientHangUpIsNoVerdict: a client hang-up mid-proxy says nothing
+// about the backend, for or against. It must not clear the failure count
+// a failed probe left behind, so the backend is still ejected after
+// EjectAfter failed probes in all, hang-up or not. Probes are driven by
+// hand, so the count is exact.
+func TestClientHangUpIsNoVerdict(t *testing.T) {
+	const ejectAfter = 3
+	b := newStallBackend(t)
+	rt := New(Config{Pool: PoolConfig{Backends: []string{b.ts.URL}, EjectAfter: ejectAfter}})
+	ts := httptest.NewServer(rt.Handler())
+	t.Cleanup(ts.Close)
+
+	b.down.Store(true)
+	rt.Pool().probeAll()
+
+	// Hang up mid-proxy, and wait for the router to return the slot.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/jobs",
+		strings.NewReader(`{"system":"probe"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	select {
+	case <-b.received:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the backend never received the submit")
+	}
+	cancel()
+	<-done
+	waitFor(t, "the proxied submit's slot", func() bool { return rt.Pool().InFlight(b.ts.URL) == 0 })
+
+	h, err := api.NewClient(ts.URL).Health(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := h.Backends[0].ConsecFailures; got != 1 {
+		t.Fatalf("consec_failures = %d after one failed probe and a hang-up, want 1", got)
+	}
+	for i := 1; i < ejectAfter; i++ {
+		if !rt.Pool().Healthy(b.ts.URL) {
+			t.Fatalf("ejected after %d failed probes, want %d", i, ejectAfter)
+		}
+		rt.Pool().probeAll()
+	}
+	if rt.Pool().Healthy(b.ts.URL) {
+		t.Fatalf("still admitted after %d failed probes", ejectAfter)
 	}
 }
 
