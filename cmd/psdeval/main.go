@@ -390,8 +390,3 @@ func parseBand(s string) filter.BandType {
 		return filter.Lowpass
 	}
 }
-
-// jsonUnmarshal isolates the decoding for testability.
-func jsonUnmarshal(body string, spec *systemSpec) error {
-	return json.Unmarshal([]byte(body), spec)
-}

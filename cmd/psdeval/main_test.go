@@ -1,12 +1,18 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/store"
 )
+
+// jsonUnmarshal decodes a test fixture the way main does.
+func jsonUnmarshal(body string, spec *systemSpec) error {
+	return json.Unmarshal([]byte(body), spec)
+}
 
 const sampleSpec = `{
   "frac": 12,

@@ -42,7 +42,6 @@ func main() {
 		budgets    = flag.String("budgets", "", "comma-separated uniform probe widths defining the budget grid (empty = default)")
 		strategies = flag.String("strategies", "", "comma-separated strategy names (empty = every registered strategy)")
 		workers    = flag.Int("workers", 0, "cells in flight (0 = GOMAXPROCS)")
-		inner      = flag.Int("inner", 0, "per-cell oracle pool width (0 = 1)")
 		seed       = flag.Int64("seed", 1, "seed for randomized strategies")
 		specPath   = flag.String("spec", "", "spec file or directory of *.json specs to sweep alongside the registry")
 	)
@@ -51,9 +50,9 @@ func main() {
 	cfg := suite.Config{
 		NPSD:    *npsd,
 		MinFrac: *minFrac, MaxFrac: *maxFrac,
-		Workers: *workers, InnerWorkers: *inner,
-		Seed:  *seed,
-		Short: *short,
+		Workers: *workers,
+		Seed:    *seed,
+		Short:   *short,
 	}
 	var err error
 	if cfg.BudgetWidths, err = parseWidths(*budgets); err != nil {

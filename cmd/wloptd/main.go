@@ -88,7 +88,6 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		npsd      = flag.Int("npsd", 0, "evaluation engine PSD bins (0 = 256)")
 		workers   = flag.Int("workers", 0, "concurrently running jobs (0 = GOMAXPROCS)")
-		inner     = flag.Int("inner", 0, "per-job oracle pool width (0 = 1)")
 		cache     = flag.Int("cache", 0, "result cache entries (0 = 128)")
 		queue     = flag.Int("queue", 0, "pending job queue bound (0 = 256)")
 		maxBody   = flag.Int64("max-body", 1<<20, "maximum request body bytes")
@@ -149,7 +148,6 @@ func main() {
 	mgr := service.New(service.Config{
 		NPSD:            *npsd,
 		Workers:         *workers,
-		InnerWorkers:    *inner,
 		ResultCacheSize: *cache,
 		QueueSize:       *queue,
 		Store:           st,

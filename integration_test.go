@@ -2,7 +2,6 @@ package repro
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/filter"
 	"repro/internal/fxsim"
 	"repro/internal/qnoise"
-	"repro/internal/rangean"
 	"repro/internal/sfg"
 	"repro/internal/stats"
 	"repro/internal/systems"
@@ -18,9 +16,9 @@ import (
 )
 
 // TestEndToEndDesignFlow walks the complete fixed-point refinement flow the
-// paper motivates: design a system, bound its dynamic range, size the
-// integer bits, optimize the fractional bits against a noise budget with
-// the fast PSD evaluator, and confirm the result by simulation.
+// paper motivates: design a system, optimize the fractional bits against a
+// noise budget with the fast PSD evaluator, and confirm the result by
+// simulation.
 func TestEndToEndDesignFlow(t *testing.T) {
 	// 1. Design: a two-stage band-shaping chain.
 	lp, err := filter.DesignFIR(filter.FIRSpec{Band: filter.Lowpass, Taps: 41, F1: 0.22, Window: dsp.Hamming})
@@ -41,21 +39,7 @@ func TestEndToEndDesignFlow(t *testing.T) {
 	g.SetNoise(f1, qnoise.Source{Mode: systems.Mode, Frac: 16})
 	g.SetNoise(f2, qnoise.Source{Mode: systems.Mode, Frac: 16})
 
-	// 2. Range analysis -> integer bits for every signal.
-	plan, err := rangean.Plan(g, rangean.PlanOptions{
-		InputRanges:  map[sfg.NodeID]rangean.Interval{in: rangean.NewInterval(-1, 1)},
-		TargetSQNRdB: 70,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id, wl := range plan {
-		if wl.Int < 1 || wl.Int > 8 {
-			t.Fatalf("node %d integer bits %d implausible", id, wl.Int)
-		}
-	}
-
-	// 3. Fractional-bit optimization against a noise budget.
+	// 2. Fractional-bit optimization against a noise budget.
 	const budget = 1e-8
 	res, err := wlopt.Optimize(g, wlopt.Options{Budget: budget, MinFrac: 6, MaxFrac: 24})
 	if err != nil {
@@ -65,7 +49,7 @@ func TestEndToEndDesignFlow(t *testing.T) {
 		t.Fatalf("optimizer result %g over budget", res.Power)
 	}
 
-	// 4. Confirm by simulation: the analytical budget holds within the
+	// 3. Confirm by simulation: the analytical budget holds within the
 	// paper's sub-one-bit margin.
 	sim, err := fxsim.Run(g, fxsim.Config{Samples: 1 << 18, Seed: 1})
 	if err != nil {
@@ -143,31 +127,5 @@ func TestEndToEndStreamingAtScale(t *testing.T) {
 	ed := stats.Ed(sim.Power, est.Power)
 	if math.Abs(ed) > 0.05 {
 		t.Fatalf("streaming-scale Ed %s, want within 5%%", core.EdPercent(ed))
-	}
-}
-
-// TestSpectrumRendering exercises the ASCII renderer on a real error
-// spectrum end to end.
-func TestSpectrumRendering(t *testing.T) {
-	ff, err := systems.NewFreqFilter()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := ff.Graph(12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.NewPSDEvaluator(128).Evaluate(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	res.PSD.RenderASCII(&sb, 16, 60)
-	out := sb.String()
-	if !strings.Contains(out, "PSD (peak") {
-		t.Fatal("render missing header")
-	}
-	if strings.Count(out, "\n") < 10 {
-		t.Fatalf("render too short:\n%s", out)
 	}
 }

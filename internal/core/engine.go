@@ -227,12 +227,6 @@ func (e *Engine) EvalMode(g *sfg.Graph) (string, error) {
 // Name implements Evaluator.
 func (e *Engine) Name() string { return fmt.Sprintf("psd-engine(n=%d,w=%d)", e.npsd, e.workers) }
 
-// NPSD returns the PSD grid size.
-func (e *Engine) NPSD() int { return e.npsd }
-
-// Workers returns the worker pool width.
-func (e *Engine) Workers() int { return e.workers }
-
 // Invalidate drops the cached plan for g. Call after structural graph
 // changes (added nodes or edges, changed filters, added or removed noise
 // sources).

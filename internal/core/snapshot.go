@@ -56,7 +56,7 @@ type SourcePlanState struct {
 	Bins []float64
 	// MeanGain is the output mean per unit source mean.
 	MeanGain float64
-	// Sigma is the width→(σ², μ) table over [SigmaGridMin, SigmaGridMax].
+	// Sigma is the width→(σ², μ) table over [sigmaGridMin, sigmaGridMax].
 	Sigma []SigmaCell
 }
 
@@ -66,13 +66,6 @@ type SigmaCell struct {
 	Variance float64
 	Mean     float64
 }
-
-// SigmaGridMin and SigmaGridMax export the σ²-table width grid bounds, so
-// serialized tables can be shape-checked without reaching into the plan.
-const (
-	SigmaGridMin = sigmaGridMin
-	SigmaGridMax = sigmaGridMax
-)
 
 // SnapshotPlan returns the warm state of g's plan, planning g first if
 // needed. Only transfer-cached plans are snapshottable; plans on the

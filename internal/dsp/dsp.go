@@ -1,10 +1,9 @@
 // Package dsp provides the basic signal-processing primitives the accuracy
-// evaluator is built on: convolution (direct and FFT-based), auto- and
-// cross-correlation, window functions, sinc, and integer-factor resampling.
+// evaluator is built on: convolution (direct, FFT-based and streaming
+// overlap-save), window functions and sinc.
 package dsp
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/fft"
@@ -70,58 +69,6 @@ func ConvolveFFT(x, h []float64) []float64 {
 	return out
 }
 
-// CircularConvolve returns the length-N circular convolution of two
-// sequences of equal length N.
-func CircularConvolve(x, h []float64) []float64 {
-	if len(x) != len(h) {
-		panic(fmt.Sprintf("dsp: circular convolution of mismatched lengths %d and %d", len(x), len(h)))
-	}
-	n := len(x)
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		var s float64
-		for j := 0; j < n; j++ {
-			s += x[j] * h[((i-j)%n+n)%n]
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// CrossCorrelate returns r[m] = sum_n x[n] * y[n+m] for lags
-// m = -(len(y)-1) .. len(x)-1, with the zero lag at index len(y)-1.
-func CrossCorrelate(x, y []float64) []float64 {
-	if len(x) == 0 || len(y) == 0 {
-		return nil
-	}
-	yr := make([]float64, len(y))
-	for i, v := range y {
-		yr[len(y)-1-i] = v
-	}
-	return Convolve(x, yr)
-}
-
-// AutoCorrelate returns the biased sample autocorrelation
-// r[m] = (1/N) sum_{n} x[n] x[n+m] for m = 0..maxLag.
-func AutoCorrelate(x []float64, maxLag int) []float64 {
-	if maxLag >= len(x) {
-		maxLag = len(x) - 1
-	}
-	if maxLag < 0 {
-		return nil
-	}
-	out := make([]float64, maxLag+1)
-	n := float64(len(x))
-	for m := 0; m <= maxLag; m++ {
-		var s float64
-		for i := 0; i+m < len(x); i++ {
-			s += x[i] * x[i+m]
-		}
-		out[m] = s / n
-	}
-	return out
-}
-
 // Sinc computes the normalized sinc function sin(pi x)/(pi x).
 func Sinc(x float64) float64 {
 	if x == 0 {
@@ -129,70 +76,4 @@ func Sinc(x float64) float64 {
 	}
 	px := math.Pi * x
 	return math.Sin(px) / px
-}
-
-// Downsample keeps every factor-th sample starting from sample 0.
-func Downsample(x []float64, factor int) []float64 {
-	if factor <= 0 {
-		panic(fmt.Sprintf("dsp: downsample factor %d", factor))
-	}
-	out := make([]float64, 0, (len(x)+factor-1)/factor)
-	for i := 0; i < len(x); i += factor {
-		out = append(out, x[i])
-	}
-	return out
-}
-
-// Upsample inserts factor-1 zeros after each sample (zero stuffing).
-func Upsample(x []float64, factor int) []float64 {
-	if factor <= 0 {
-		panic(fmt.Sprintf("dsp: upsample factor %d", factor))
-	}
-	out := make([]float64, len(x)*factor)
-	for i, v := range x {
-		out[i*factor] = v
-	}
-	return out
-}
-
-// Energy returns sum x[n]^2.
-func Energy(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return s
-}
-
-// Scale returns x scaled by g in a new slice.
-func Scale(x []float64, g float64) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = g * v
-	}
-	return out
-}
-
-// Add returns the elementwise sum of equal-length slices.
-func Add(x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("dsp: add of mismatched lengths %d and %d", len(x), len(y)))
-	}
-	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = x[i] + y[i]
-	}
-	return out
-}
-
-// Sub returns x - y elementwise.
-func Sub(x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("dsp: sub of mismatched lengths %d and %d", len(x), len(y)))
-	}
-	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = x[i] - y[i]
-	}
-	return out
 }

@@ -79,57 +79,6 @@ func TestConvolveEmpty(t *testing.T) {
 	}
 }
 
-func TestCircularConvolveKnown(t *testing.T) {
-	got := CircularConvolve([]float64{1, 2, 3, 4}, []float64{1, 0, 0, 0})
-	sliceAlmostEq(t, got, []float64{1, 2, 3, 4}, 1e-12, "circ identity")
-	got = CircularConvolve([]float64{1, 2, 3, 4}, []float64{0, 1, 0, 0})
-	sliceAlmostEq(t, got, []float64{4, 1, 2, 3}, 1e-12, "circ shift")
-}
-
-func TestCrossCorrelateZeroLag(t *testing.T) {
-	x := []float64{1, 2, 3}
-	r := CrossCorrelate(x, x)
-	// Zero lag at index len(y)-1 = 2 equals energy.
-	if !almostEq(r[2], 14, 1e-12) {
-		t.Fatalf("zero-lag autocorrelation %g, want 14", r[2])
-	}
-	if len(r) != 5 {
-		t.Fatalf("length %d, want 5", len(r))
-	}
-	// Symmetry of autocorrelation.
-	if !almostEq(r[1], r[3], 1e-12) || !almostEq(r[0], r[4], 1e-12) {
-		t.Fatal("autocorrelation not symmetric")
-	}
-}
-
-func TestAutoCorrelateWhiteNoise(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	n := 200000
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	r := AutoCorrelate(x, 4)
-	if !almostEq(r[0], 1, 0.02) {
-		t.Fatalf("lag 0 = %g, want about 1", r[0])
-	}
-	for m := 1; m <= 4; m++ {
-		if math.Abs(r[m]) > 0.02 {
-			t.Fatalf("lag %d = %g, want about 0", m, r[m])
-		}
-	}
-}
-
-func TestAutoCorrelateEdge(t *testing.T) {
-	if AutoCorrelate(nil, 3) != nil {
-		t.Fatal("empty input should yield nil")
-	}
-	r := AutoCorrelate([]float64{2}, 5)
-	if len(r) != 1 || !almostEq(r[0], 4, 1e-12) {
-		t.Fatalf("single sample autocorr = %v", r)
-	}
-}
-
 func TestSinc(t *testing.T) {
 	if Sinc(0) != 1 {
 		t.Fatal("Sinc(0) != 1")
@@ -141,34 +90,6 @@ func TestSinc(t *testing.T) {
 	}
 	if !almostEq(Sinc(0.5), 2/math.Pi, 1e-12) {
 		t.Fatalf("Sinc(0.5) = %g", Sinc(0.5))
-	}
-}
-
-func TestDownUpsample(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5, 6, 7}
-	sliceAlmostEq(t, Downsample(x, 2), []float64{1, 3, 5, 7}, 0, "down2")
-	sliceAlmostEq(t, Downsample(x, 3), []float64{1, 4, 7}, 0, "down3")
-	sliceAlmostEq(t, Upsample([]float64{1, 2}, 3), []float64{1, 0, 0, 2, 0, 0}, 0, "up3")
-}
-
-func TestUpsampleThenDownsampleIdentity(t *testing.T) {
-	f := func(seed int64, fsel uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		factor := 1 + int(fsel)%5
-		x := make([]float64, 20)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		y := Downsample(Upsample(x, factor), factor)
-		for i := range x {
-			if x[i] != y[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -237,52 +158,28 @@ func TestBesselI0(t *testing.T) {
 	}
 }
 
-func TestKaiserBetaMonotone(t *testing.T) {
-	prev := -1.0
-	for a := 15.0; a <= 100; a += 5 {
-		b := KaiserBeta(a)
-		if b < prev {
-			t.Fatalf("KaiserBeta not monotone at %g dB", a)
-		}
-		prev = b
-	}
-	if KaiserBeta(10) != 0 {
-		t.Fatal("KaiserBeta below 21 dB should be 0")
-	}
-}
-
-func TestKaiserOrderReasonable(t *testing.T) {
-	n := KaiserOrder(60, 0.05)
-	if n < 40 || n > 120 {
-		t.Fatalf("KaiserOrder(60 dB, 0.05) = %d, out of plausible range", n)
-	}
-	if KaiserOrder(10, 0.5) < 1 {
-		t.Fatal("order must be at least 1")
-	}
-}
-
+// TestWindowGains checks the window shapes through their coherent gain
+// sum(w)/n and noise gain sum(w^2)/n, the normalisations of a windowed
+// periodogram.
 func TestWindowGains(t *testing.T) {
-	w := Window(Rectangular, 64)
-	if !almostEq(CoherentGain(w), 1, 1e-12) || !almostEq(NoiseGain(w), 1, 1e-12) {
+	gains := func(w []float64) (coherent, noise float64) {
+		for _, v := range w {
+			coherent += v
+			noise += v * v
+		}
+		n := float64(len(w))
+		return coherent / n, noise / n
+	}
+	if c, n := gains(Window(Rectangular, 64)); !almostEq(c, 1, 1e-12) || !almostEq(n, 1, 1e-12) {
 		t.Fatal("rectangular gains should be 1")
 	}
-	h := Window(Hann, 4096)
-	if !almostEq(CoherentGain(h), 0.5, 1e-3) {
-		t.Fatalf("Hann coherent gain %g, want about 0.5", CoherentGain(h))
+	c, n := gains(Window(Hann, 4096))
+	if !almostEq(c, 0.5, 1e-3) {
+		t.Fatalf("Hann coherent gain %g, want about 0.5", c)
 	}
-	if !almostEq(NoiseGain(h), 0.375, 1e-3) {
-		t.Fatalf("Hann noise gain %g, want about 0.375", NoiseGain(h))
+	if !almostEq(n, 0.375, 1e-3) {
+		t.Fatalf("Hann noise gain %g, want about 0.375", n)
 	}
-}
-
-func TestEnergyScaleAddSub(t *testing.T) {
-	x := []float64{1, -2, 2}
-	if !almostEq(Energy(x), 9, 1e-12) {
-		t.Fatal("energy")
-	}
-	sliceAlmostEq(t, Scale(x, -2), []float64{-2, 4, -4}, 1e-12, "scale")
-	sliceAlmostEq(t, Add(x, x), []float64{2, -4, 4}, 1e-12, "add")
-	sliceAlmostEq(t, Sub(x, x), []float64{0, 0, 0}, 1e-12, "sub")
 }
 
 func TestOverlapSaveMatchesDirectFIR(t *testing.T) {
@@ -305,7 +202,7 @@ func TestOverlapSaveMatchesDirectFIR(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := os.Process(x)
+		got := os.ProcessTapped(x, nil)
 		want := ConvolveDirect(x, h)[:cfg.n]
 		sliceAlmostEq(t, got, want, 1e-8, "overlap-save")
 	}
@@ -322,18 +219,18 @@ func TestOverlapSaveStreamingEqualsBatch(t *testing.T) {
 		x[i] = rng.NormFloat64()
 	}
 	osA, _ := NewOverlapSave(16, h)
-	batch := osA.Process(x)
+	batch := osA.ProcessTapped(x, nil)
 
 	osB, _ := NewOverlapSave(16, h)
 	// Hop-aligned chunks keep zero-padding out of the interior.
-	hop := osB.Hop()
+	hop := osB.hop
 	var stream []float64
 	for i := 0; i < len(x); i += 4 * hop {
 		end := i + 4*hop
 		if end > len(x) {
 			end = len(x)
 		}
-		stream = append(stream, osB.Process(x[i:end])...)
+		stream = append(stream, osB.ProcessTapped(x[i:end], nil)...)
 	}
 	sliceAlmostEq(t, stream, batch, 1e-8, "streaming")
 
@@ -343,7 +240,7 @@ func TestOverlapSaveStreamingEqualsBatch(t *testing.T) {
 	stream = stream[:0]
 	start := 0
 	for _, n := range []int{10, 30, 7, 153} {
-		stream = append(stream, osC.Process(x[start:start+n])...)
+		stream = append(stream, osC.ProcessTapped(x[start:start+n], nil)...)
 		start += n
 	}
 	sliceAlmostEq(t, stream, batch, 1e-8, "ragged streaming")
@@ -372,20 +269,10 @@ func TestOverlapSaveTapsInvoked(t *testing.T) {
 		x[i] = 1
 	}
 	os.ProcessTapped(x, tap)
-	frames := (len(x) + os.Hop() - 1) / os.Hop()
+	frames := (len(x) + os.hop - 1) / os.hop
 	if nFFT != frames || nMul != frames || nIFFT != frames {
 		t.Fatalf("taps invoked %d/%d/%d times, want %d", nFFT, nMul, nIFFT, frames)
 	}
-}
-
-func TestOverlapSaveReset(t *testing.T) {
-	h := []float64{1, 1, 1}
-	os, _ := NewOverlapSave(8, h)
-	x := []float64{1, 2, 3, 4, 5, 6}
-	first := os.Process(x)
-	os.Reset()
-	second := os.Process(x)
-	sliceAlmostEq(t, second, first, 1e-12, "reset")
 }
 
 func BenchmarkConvolveFFT4096(b *testing.B) {

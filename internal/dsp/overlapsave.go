@@ -50,35 +50,6 @@ func NewOverlapSave(fftSize int, h []float64) (*OverlapSave, error) {
 	return os, nil
 }
 
-// FFTSize returns the frame size.
-func (o *OverlapSave) FFTSize() int { return o.fftSize }
-
-// Hop returns the number of valid output samples per frame.
-func (o *OverlapSave) Hop() int { return o.hop }
-
-// Coefficients returns the frequency-domain filter coefficients (the
-// fftSize-point DFT of the taps).
-func (o *OverlapSave) Coefficients() []complex128 {
-	return append([]complex128(nil), o.hSpec...)
-}
-
-// Reset clears the inter-frame history.
-func (o *OverlapSave) Reset() {
-	for i := range o.history {
-		o.history[i] = 0
-	}
-}
-
-// Process filters x and returns exactly len(x) output samples, matching
-// what a direct-form FIR with the same taps and zero initial state would
-// produce. Input whose length is not a multiple of the hop is zero-padded
-// internally; the padding never leaks into the returned samples, nor into
-// the history, so successive calls filter one continuous stream whatever
-// their lengths.
-func (o *OverlapSave) Process(x []float64) []float64 {
-	return o.process(x, nil)
-}
-
 // StageTap receives the intermediate frequency- and time-domain frames of
 // each overlap-save block, allowing a caller (the fixed-point simulator) to
 // quantize them in place between stages.
@@ -94,12 +65,14 @@ type StageTap struct {
 	AfterIFFT func(frame []float64)
 }
 
-// ProcessTapped is Process with stage taps applied inside every frame.
+// ProcessTapped filters x and returns exactly len(x) output samples,
+// matching what a direct-form FIR with the same taps and zero initial state
+// would produce, with the stage taps (nil for none) applied inside every
+// frame. Input whose length is not a multiple of the hop is zero-padded
+// internally; the padding never leaks into the returned samples, nor into
+// the history, so successive calls filter one continuous stream whatever
+// their lengths.
 func (o *OverlapSave) ProcessTapped(x []float64, tap *StageTap) []float64 {
-	return o.process(x, tap)
-}
-
-func (o *OverlapSave) process(x []float64, tap *StageTap) []float64 {
 	nh := len(o.h) - 1
 	out := make([]float64, 0, len(x)+o.hop)
 	frame := make([]complex128, o.fftSize)

@@ -114,49 +114,3 @@ func BesselI0(x float64) float64 {
 	}
 	return sum
 }
-
-// KaiserBeta returns the Kaiser beta achieving the given stopband
-// attenuation in dB (Kaiser's empirical formula).
-func KaiserBeta(attenDB float64) float64 {
-	switch {
-	case attenDB > 50:
-		return 0.1102 * (attenDB - 8.7)
-	case attenDB >= 21:
-		return 0.5842*math.Pow(attenDB-21, 0.4) + 0.07886*(attenDB-21)
-	default:
-		return 0
-	}
-}
-
-// KaiserOrder estimates the FIR length needed for the given stopband
-// attenuation (dB) and normalized transition width (cycles/sample).
-func KaiserOrder(attenDB, transWidth float64) int {
-	if transWidth <= 0 {
-		panic("dsp: non-positive transition width")
-	}
-	n := (attenDB - 7.95) / (14.36 * transWidth)
-	if n < 1 {
-		n = 1
-	}
-	return int(math.Ceil(n)) + 1
-}
-
-// CoherentGain returns sum(w)/n, the DC gain of the window normalized by its
-// length — needed when calibrating windowed periodograms.
-func CoherentGain(w []float64) float64 {
-	var s float64
-	for _, v := range w {
-		s += v
-	}
-	return s / float64(len(w))
-}
-
-// NoiseGain returns sum(w^2)/n, the incoherent (noise) power gain of the
-// window — the periodogram normalization factor for noise-like signals.
-func NoiseGain(w []float64) float64 {
-	var s float64
-	for _, v := range w {
-		s += v * v
-	}
-	return s / float64(len(w))
-}

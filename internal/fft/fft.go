@@ -7,8 +7,8 @@
 //
 //	X[k] = sum_{n=0}^{N-1} x[n] * exp(-2*pi*i*k*n/N)
 //
-// with no scaling, and the inverse applies the 1/N factor, so
-// Inverse(Forward(x)) == x up to floating-point rounding.
+// with no scaling, and the inverse applies the 1/N factor, so the inverse
+// undoes the forward transform up to floating-point rounding.
 //
 // A Plan is safe for concurrent use: the twiddle and Bluestein caches are
 // guarded internally, and the transforms themselves only touch caller-owned
@@ -91,25 +91,6 @@ func (p *Plan) twiddles(n int) []complex128 {
 	}
 	p.mu.Unlock()
 	return tw
-}
-
-// Forward computes the unscaled DFT of x, returning a new slice.
-// Any length >= 1 is accepted; power-of-two lengths use radix-2 and others
-// use Bluestein's algorithm.
-func (p *Plan) Forward(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	copy(out, x)
-	p.ForwardInPlace(out)
-	return out
-}
-
-// Inverse computes the inverse DFT (with 1/N scaling) of x, returning a new
-// slice.
-func (p *Plan) Inverse(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	copy(out, x)
-	p.InverseInPlace(out)
-	return out
 }
 
 // ForwardInPlace computes the unscaled DFT of x in place when the length is
@@ -199,50 +180,6 @@ func (p *Plan) RealForward(x []float64) []complex128 {
 		if k > 0 {
 			out[n-k] = cmplx.Conj(xk)
 		}
-	}
-	return out
-}
-
-// RealInverse computes the inverse DFT (with 1/N scaling) of a
-// conjugate-symmetric spectrum, returning the real time sequence. It is the
-// inverse of RealForward; for spectra that are not conjugate-symmetric the
-// imaginary residue is discarded. Even lengths pay only one half-length
-// complex transform.
-func (p *Plan) RealInverse(x []complex128) []float64 {
-	n := len(x)
-	if n == 0 {
-		panic("fft: transform of empty slice")
-	}
-	out := make([]float64, n)
-	if n == 1 {
-		out[0] = real(x[0])
-		return out
-	}
-	if n%2 != 0 {
-		c := make([]complex128, n)
-		copy(c, x)
-		p.InverseInPlace(c)
-		for i, v := range c {
-			out[i] = real(v)
-		}
-		return out
-	}
-	h := n / 2
-	tw := p.twiddles(n)
-	z := make([]complex128, h)
-	// Re-tangle: E[k] = (X[k]+X[k+h])/2, O[k] = W^-k (X[k]-X[k+h])/2, and
-	// Z[k] = E[k] + i O[k] packs the even/odd time samples into one
-	// half-length inverse transform.
-	for k := 0; k < h; k++ {
-		e := (x[k] + x[k+h]) / 2
-		o := (x[k] - x[k+h]) / 2
-		o *= cmplx.Conj(tw[k])
-		z[k] = e + complex(-imag(o), real(o)) // e + i*o
-	}
-	p.InverseInPlace(z)
-	for j := 0; j < h; j++ {
-		out[2*j] = real(z[j])
-		out[2*j+1] = imag(z[j])
 	}
 	return out
 }
@@ -352,33 +289,6 @@ func (p *Plan) bluesteinTransform(x []complex128, inverse bool) {
 		x[k] = v
 	}
 }
-
-// Forward computes the unscaled DFT of x using the shared package plan.
-func Forward(x []complex128) []complex128 { return defaultPlan.Forward(x) }
-
-// Inverse computes the scaled inverse DFT of x using the shared package plan.
-func Inverse(x []complex128) []complex128 { return defaultPlan.Inverse(x) }
-
-// RealForward computes the DFT of a real sequence with the shared package
-// plan, returning the full conjugate-symmetric spectrum.
-func RealForward(x []float64) []complex128 { return defaultPlan.RealForward(x) }
-
-// RealInverse computes the inverse DFT of a conjugate-symmetric spectrum
-// with the shared package plan, returning the real time sequence.
-func RealInverse(x []complex128) []float64 { return defaultPlan.RealInverse(x) }
-
-// ForwardReal computes the DFT of a real sequence, returning the full
-// complex spectrum of the same length. It is RealForward under its
-// historical name.
-func ForwardReal(x []float64) []complex128 { return RealForward(x) }
-
-// ForwardRealWith is ForwardReal using the supplied plan.
-func ForwardRealWith(p *Plan, x []float64) []complex128 { return p.RealForward(x) }
-
-// InverseToReal computes the inverse DFT and returns the real parts,
-// discarding the (ideally negligible) imaginary residue. Use when the
-// spectrum is known to be conjugate-symmetric.
-func InverseToReal(x []complex128) []float64 { return defaultPlan.RealInverse(x) }
 
 // Magnitude2 returns |X[k]|^2 for each bin of a spectrum.
 func Magnitude2(x []complex128) []float64 {

@@ -18,6 +18,17 @@ func randComplex(rng *rand.Rand, n int) []complex128 {
 	return x
 }
 
+// forward and inverse transform a copy of x with the shared plan's
+// in-place kernels.
+func forward(x []complex128) []complex128 { return transformed(defaultPlan.ForwardInPlace, x) }
+func inverse(x []complex128) []complex128 { return transformed(defaultPlan.InverseInPlace, x) }
+
+func transformed(tf func([]complex128), x []complex128) []complex128 {
+	out := append([]complex128(nil), x...)
+	tf(out)
+	return out
+}
+
 func maxDiff(a, b []complex128) float64 {
 	if len(a) != len(b) {
 		return math.Inf(1)
@@ -35,7 +46,7 @@ func TestForwardMatchesNaivePow2(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 2, 4, 8, 16, 64, 256} {
 		x := randComplex(rng, n)
-		got := Forward(x)
+		got := forward(x)
 		want := DFTNaive(x)
 		if d := maxDiff(got, want); d > tol*float64(n) {
 			t.Errorf("n=%d: max diff %g", n, d)
@@ -47,7 +58,7 @@ func TestForwardMatchesNaiveArbitrary(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, n := range []int{3, 5, 6, 7, 9, 12, 17, 31, 100, 147} {
 		x := randComplex(rng, n)
-		got := Forward(x)
+		got := forward(x)
 		want := DFTNaive(x)
 		if d := maxDiff(got, want); d > tol*float64(n) {
 			t.Errorf("n=%d (Bluestein): max diff %g", n, d)
@@ -59,7 +70,7 @@ func TestInverseRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{1, 2, 5, 8, 13, 64, 100, 1024} {
 		x := randComplex(rng, n)
-		y := Inverse(Forward(x))
+		y := inverse(forward(x))
 		if d := maxDiff(x, y); d > tol*float64(n) {
 			t.Errorf("n=%d: roundtrip max diff %g", n, d)
 		}
@@ -74,7 +85,7 @@ func TestParseval(t *testing.T) {
 		for _, v := range x {
 			tp += real(v)*real(v) + imag(v)*imag(v)
 		}
-		X := Forward(x)
+		X := forward(x)
 		var fp float64
 		for _, v := range X {
 			fp += real(v)*real(v) + imag(v)*imag(v)
@@ -90,7 +101,7 @@ func TestImpulseIsFlat(t *testing.T) {
 	n := 32
 	x := make([]complex128, n)
 	x[0] = 1
-	X := Forward(x)
+	X := forward(x)
 	for k, v := range X {
 		if cmplx.Abs(v-1) > tol {
 			t.Fatalf("bin %d: impulse spectrum %v, want 1", k, v)
@@ -106,7 +117,7 @@ func TestSingleToneBin(t *testing.T) {
 		ang := 2 * math.Pi * float64(k0) * float64(i) / float64(n)
 		x[i] = cmplx.Exp(complex(0, ang))
 	}
-	X := Forward(x)
+	X := forward(x)
 	for k, v := range X {
 		want := complex128(0)
 		if k == k0 {
@@ -128,7 +139,7 @@ func TestLinearity(t *testing.T) {
 	for i := range sum {
 		sum[i] = a*x[i] + b*y[i]
 	}
-	X, Y, S := Forward(x), Forward(y), Forward(sum)
+	X, Y, S := forward(x), forward(y), forward(sum)
 	for k := range S {
 		if cmplx.Abs(S[k]-(a*X[k]+b*Y[k])) > 1e-8 {
 			t.Fatalf("linearity violated at bin %d", k)
@@ -143,7 +154,7 @@ func TestRealSpectrumSymmetry(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	X := ForwardReal(x)
+	X := defaultPlan.RealForward(x)
 	for k := 1; k < n; k++ {
 		if cmplx.Abs(X[k]-cmplx.Conj(X[n-k])) > tol {
 			t.Fatalf("conjugate symmetry violated at bin %d", k)
@@ -160,7 +171,7 @@ func TestPlanReuseConsistent(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		for _, n := range []int{16, 24, 64} {
 			x := randComplex(rng, n)
-			if d := maxDiff(p.Forward(x), Forward(x)); d > tol {
+			if d := maxDiff(transformed(p.ForwardInPlace, x), forward(x)); d > tol {
 				t.Fatalf("plan reuse diverges at n=%d iter %d: %g", n, i, d)
 			}
 		}
@@ -294,12 +305,12 @@ func TestMagnitude2(t *testing.T) {
 }
 
 func TestQuickRoundtripProperty(t *testing.T) {
-	// Property: Inverse(Forward(x)) == x for random lengths and contents.
+	// Property: inverse(forward(x)) == x for random lengths and contents.
 	f := func(seed int64, lenSel uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + int(lenSel)%200
 		x := randComplex(rng, n)
-		return maxDiff(x, Inverse(Forward(x))) < 1e-7
+		return maxDiff(x, inverse(forward(x))) < 1e-7
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -315,7 +326,7 @@ func TestQuickParsevalProperty(t *testing.T) {
 		for _, v := range x {
 			tp += real(v)*real(v) + imag(v)*imag(v)
 		}
-		for _, v := range Forward(x) {
+		for _, v := range forward(x) {
 			fp += real(v)*real(v) + imag(v)*imag(v)
 		}
 		fp /= float64(n)
@@ -335,7 +346,7 @@ func TestTimeShiftProperty(t *testing.T) {
 	for i := range shifted {
 		shifted[i] = x[((i-m)%n+n)%n]
 	}
-	X, S := Forward(x), Forward(shifted)
+	X, S := forward(x), forward(shifted)
 	for k := range X {
 		ph := cmplx.Exp(complex(0, -2*math.Pi*float64(k*m)/float64(n)))
 		if cmplx.Abs(S[k]-X[k]*ph) > 1e-8 {

@@ -32,52 +32,34 @@ func TestRealForwardMatchesComplexTransform(t *testing.T) {
 		for i, v := range x {
 			c[i] = complex(v, 0)
 		}
-		want := p.Forward(c)
+		want := transformed(p.ForwardInPlace, c)
 		if d := maxDiff(got, want); d > tol*float64(n) {
 			t.Errorf("n=%d: RealForward deviates from complex transform by %g", n, d)
 		}
 	}
 }
 
+// TestRealInverseRoundtrip: RealForward's spectrum is a complete
+// conjugate-symmetric spectrum, so the complex inverse returns the real
+// input.
 func TestRealInverseRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	p := NewPlan()
 	for _, n := range realLengths {
 		x := randReal(rng, n)
-		y := p.RealInverse(p.RealForward(x))
+		y := p.RealForward(x)
+		p.InverseInPlace(y)
 		if len(y) != n {
 			t.Fatalf("n=%d: round trip changed length to %d", n, len(y))
 		}
 		var d float64
 		for i := range x {
-			if e := math.Abs(x[i] - y[i]); e > d {
+			if e := cmplx.Abs(complex(x[i], 0) - y[i]); e > d {
 				d = e
 			}
 		}
 		if d > tol*float64(n) {
-			t.Errorf("n=%d: RealInverse(RealForward(x)) max diff %g", n, d)
-		}
-	}
-}
-
-func TestRealInverseMatchesComplexInverse(t *testing.T) {
-	// On a conjugate-symmetric spectrum, RealInverse must agree with the
-	// full complex inverse's real part.
-	rng := rand.New(rand.NewSource(22))
-	p := NewPlan()
-	for _, n := range []int{2, 4, 6, 8, 16, 24, 100, 256} {
-		x := randReal(rng, n)
-		spec := p.RealForward(x)
-		want := p.Inverse(spec)
-		got := p.RealInverse(spec)
-		var d float64
-		for i := range got {
-			if e := math.Abs(got[i] - real(want[i])); e > d {
-				d = e
-			}
-		}
-		if d > tol*float64(n) {
-			t.Errorf("n=%d: RealInverse vs complex inverse max diff %g", n, d)
+			t.Errorf("n=%d: Inverse(RealForward(x)) max diff %g", n, d)
 		}
 	}
 }
@@ -92,7 +74,7 @@ func TestRealForwardParsevalProperty(t *testing.T) {
 			tp += v * v
 		}
 		var fp float64
-		for _, v := range RealForward(x) {
+		for _, v := range defaultPlan.RealForward(x) {
 			re, im := real(v), imag(v)
 			fp += re*re + im*im
 		}
@@ -109,9 +91,9 @@ func TestRealRoundtripProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + int(lenSel)%256
 		x := randReal(rng, n)
-		y := RealInverse(RealForward(x))
+		y := inverse(defaultPlan.RealForward(x))
 		for i := range x {
-			if math.Abs(x[i]-y[i]) > 1e-7 {
+			if cmplx.Abs(complex(x[i], 0)-y[i]) > 1e-7 {
 				return false
 			}
 		}
@@ -125,7 +107,7 @@ func TestRealRoundtripProperty(t *testing.T) {
 func TestRealForwardSymmetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, n := range []int{2, 4, 7, 16, 100} {
-		X := RealForward(randReal(rng, n))
+		X := defaultPlan.RealForward(randReal(rng, n))
 		for k := 1; k < n; k++ {
 			if cmplx.Abs(X[k]-cmplx.Conj(X[n-k])) > tol*float64(n) {
 				t.Fatalf("n=%d: conjugate symmetry violated at bin %d", n, k)
@@ -166,9 +148,11 @@ func TestPlanConcurrentUse(t *testing.T) {
 				}
 				// Round trip through the complex path too, sharing the
 				// same tables.
-				back := shared.RealInverse(shared.Forward(mustComplex(inputs[i])))
+				back := mustComplex(inputs[i])
+				shared.ForwardInPlace(back)
+				shared.InverseInPlace(back)
 				for j := range back {
-					if math.Abs(back[j]-inputs[i][j]) > 1e-7 {
+					if math.Abs(real(back[j])-inputs[i][j]) > 1e-7 {
 						t.Errorf("worker %d rep %d n=%d: roundtrip drift", w, rep, sizes[i])
 						return
 					}

@@ -40,35 +40,6 @@ func (f Filter) GroupDelay(F float64) float64 {
 	return -d / (2 * math.Pi * 2 * h)
 }
 
-// BandEdges locates the -3 dB points of the response relative to its peak
-// by scanning n grid points; returns the lowest and highest frequencies at
-// which the magnitude is within 3 dB of the maximum.
-func (f Filter) BandEdges(n int) (lo, hi float64) {
-	if n < 8 {
-		n = 256
-	}
-	mags := make([]float64, n/2+1)
-	peak := 0.0
-	for k := range mags {
-		mags[k] = cmplx.Abs(f.ResponseAt(float64(k) / float64(n)))
-		if mags[k] > peak {
-			peak = mags[k]
-		}
-	}
-	thresh := peak * math.Sqrt(0.5)
-	lo, hi = math.NaN(), math.NaN()
-	for k, m := range mags {
-		if m >= thresh {
-			F := float64(k) / float64(n)
-			if math.IsNaN(lo) {
-				lo = F
-			}
-			hi = F
-		}
-	}
-	return lo, hi
-}
-
 // WriteResponse prints a frequency-response table (magnitude dB, phase,
 // group delay) on n/2+1 grid points — the guts of the filtergen CLI and a
 // quick debugging aid.

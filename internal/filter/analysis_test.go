@@ -42,31 +42,6 @@ func TestGroupDelayPureDelay(t *testing.T) {
 	}
 }
 
-func TestBandEdgesLowpass(t *testing.T) {
-	f, err := DesignFIR(FIRSpec{Band: Lowpass, Taps: 63, F1: 0.2, Window: dsp.Hamming})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := f.BandEdges(1024)
-	if lo != 0 {
-		t.Fatalf("lowpass band should start at DC, got %g", lo)
-	}
-	if math.Abs(hi-0.2) > 0.02 {
-		t.Fatalf("upper -3 dB edge %g, want about 0.2", hi)
-	}
-}
-
-func TestBandEdgesBandpass(t *testing.T) {
-	f, err := DesignFIR(FIRSpec{Band: Bandpass, Taps: 81, F1: 0.15, F2: 0.3, Window: dsp.Hamming})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := f.BandEdges(1024)
-	if math.Abs(lo-0.15) > 0.02 || math.Abs(hi-0.3) > 0.02 {
-		t.Fatalf("band edges [%g, %g], want about [0.15, 0.3]", lo, hi)
-	}
-}
-
 func TestWriteResponse(t *testing.T) {
 	f := NewFIR([]float64{0.5, 0.5}, "avg")
 	var sb strings.Builder

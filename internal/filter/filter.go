@@ -125,11 +125,6 @@ func horner(c []float64, z complex128) complex128 {
 	return acc
 }
 
-// Magnitude2 returns |H|^2 on n uniform bins.
-func (f Filter) Magnitude2(n int) []float64 {
-	return fft.Magnitude2(f.Response(n))
-}
-
 // DCGain returns H(1) = sum(B)/sum(A).
 func (f Filter) DCGain() float64 {
 	var nb, na float64
@@ -229,11 +224,4 @@ func (s *State) Process(x []float64) []float64 {
 		out[i] = s.Step(v)
 	}
 	return out
-}
-
-// Reset zeroes the delay line.
-func (s *State) Reset() {
-	for i := range s.w {
-		s.w[i] = 0
-	}
 }

@@ -13,20 +13,6 @@ type Biquad struct {
 	A1, A2     float64
 }
 
-// Response evaluates the section at normalized frequency F.
-func (s Biquad) Response(F float64) complex128 {
-	z := cmplx.Exp(complex(0, -2*math.Pi*F))
-	num := complex(s.B0, 0) + complex(s.B1, 0)*z + complex(s.B2, 0)*z*z
-	den := 1 + complex(s.A1, 0)*z + complex(s.A2, 0)*z*z
-	return num / den
-}
-
-// IsStable reports whether the section's poles are inside the unit circle
-// (the stability triangle |a2| < 1, |a1| < 1 + a2).
-func (s Biquad) IsStable() bool {
-	return math.Abs(s.A2) < 1 && math.Abs(s.A1) < 1+s.A2
-}
-
 // SOS is a cascade of biquads with an overall gain — the numerically robust
 // realization of high-order IIR filters (direct forms amplify roundoff
 // catastrophically beyond order ~10, which both fixed-point hardware and
@@ -34,34 +20,6 @@ func (s Biquad) IsStable() bool {
 type SOS struct {
 	Gain     float64
 	Sections []Biquad
-}
-
-// Response evaluates the cascade at F.
-func (c SOS) Response(F float64) complex128 {
-	acc := complex(c.Gain, 0)
-	for _, s := range c.Sections {
-		acc *= s.Response(F)
-	}
-	return acc
-}
-
-// ResponseGrid samples the cascade on n uniform bins.
-func (c SOS) ResponseGrid(n int) []complex128 {
-	out := make([]complex128, n)
-	for k := range out {
-		out[k] = c.Response(float64(k) / float64(n))
-	}
-	return out
-}
-
-// IsStable reports whether every section is stable.
-func (c SOS) IsStable() bool {
-	for _, s := range c.Sections {
-		if !s.IsStable() {
-			return false
-		}
-	}
-	return true
 }
 
 // Order returns the total filter order: odd-order designs carry one
@@ -90,52 +48,6 @@ func (c SOS) Order() int {
 		}
 	}
 	return total
-}
-
-// SOSState is the cascade runtime (transposed direct-form II per section).
-type SOSState struct {
-	gain     float64
-	sections []Biquad
-	w1, w2   []float64
-}
-
-// NewSOSState builds a fresh runtime.
-func NewSOSState(c SOS) *SOSState {
-	return &SOSState{
-		gain:     c.Gain,
-		sections: append([]Biquad(nil), c.Sections...),
-		w1:       make([]float64, len(c.Sections)),
-		w2:       make([]float64, len(c.Sections)),
-	}
-}
-
-// Step processes one sample through the cascade.
-func (st *SOSState) Step(x float64) float64 {
-	v := x * st.gain
-	for i, s := range st.sections {
-		y := s.B0*v + st.w1[i]
-		st.w1[i] = s.B1*v - s.A1*y + st.w2[i]
-		st.w2[i] = s.B2*v - s.A2*y
-		v = y
-	}
-	return v
-}
-
-// Process filters a slice.
-func (st *SOSState) Process(x []float64) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = st.Step(v)
-	}
-	return out
-}
-
-// Reset clears all section states.
-func (st *SOSState) Reset() {
-	for i := range st.w1 {
-		st.w1[i] = 0
-		st.w2[i] = 0
-	}
 }
 
 // DesignIIRSOS designs the same filter as DesignIIR but returns it as a

@@ -1,17 +1,9 @@
-// Package fixed implements the fixed-point arithmetic substrate: signed
-// two's-complement Q(m.f) values stored in int64 with exact 128-bit
-// intermediate products, selectable rounding and overflow behaviour, and the
-// fast float64 grid quantizers used by the Monte-Carlo simulation engine.
-//
-// A Q(m.f) value has m integer bits (including sign) and f fractional bits;
-// the represented real number is raw * 2^-f.
+// Package fixed implements the fixed-point quantization substrate: the
+// rounding modes and the fast float64 grid quantizer that the Monte-Carlo
+// simulation engine applies at every block boundary.
 package fixed
 
-import (
-	"fmt"
-	"math"
-	"math/bits"
-)
+import "fmt"
 
 // RoundMode selects how discarded fractional bits are resolved.
 type RoundMode int
@@ -39,386 +31,5 @@ func (m RoundMode) String() string {
 		return "round-convergent"
 	default:
 		return fmt.Sprintf("RoundMode(%d)", int(m))
-	}
-}
-
-// OverflowMode selects how values exceeding the integer range behave.
-type OverflowMode int
-
-const (
-	// Saturate clamps to the most positive / most negative representable
-	// value.
-	Saturate OverflowMode = iota
-	// Wrap keeps the low bits (two's-complement wraparound).
-	Wrap
-)
-
-// String implements fmt.Stringer.
-func (m OverflowMode) String() string {
-	switch m {
-	case Saturate:
-		return "saturate"
-	case Wrap:
-		return "wrap"
-	default:
-		return fmt.Sprintf("OverflowMode(%d)", int(m))
-	}
-}
-
-// Format describes a fixed-point type: total word length W = Int + Frac bits
-// (Int includes the sign bit).
-type Format struct {
-	Int      int // integer bits including sign, >= 1
-	Frac     int // fractional bits, >= 0
-	Round    RoundMode
-	Overflow OverflowMode
-}
-
-// NewFormat returns a Format with the given bit split and default
-// round-nearest / saturate behaviour.
-func NewFormat(intBits, fracBits int) Format {
-	return Format{Int: intBits, Frac: fracBits, Round: RoundNearest, Overflow: Saturate}
-}
-
-// Validate reports whether the format fits the int64 backing store.
-func (f Format) Validate() error {
-	if f.Int < 1 {
-		return fmt.Errorf("fixed: integer bits %d < 1 (sign bit required)", f.Int)
-	}
-	if f.Frac < 0 {
-		return fmt.Errorf("fixed: negative fractional bits %d", f.Frac)
-	}
-	if f.Int+f.Frac > 63 {
-		return fmt.Errorf("fixed: word length %d exceeds 63-bit backing store", f.Int+f.Frac)
-	}
-	return nil
-}
-
-// Width returns the total word length in bits.
-func (f Format) Width() int { return f.Int + f.Frac }
-
-// Quantum returns the weight of one LSB, 2^-Frac.
-func (f Format) Quantum() float64 { return math.Ldexp(1, -f.Frac) }
-
-// MaxRaw returns the most positive raw value.
-func (f Format) MaxRaw() int64 { return (int64(1) << uint(f.Width()-1)) - 1 }
-
-// MinRaw returns the most negative raw value.
-func (f Format) MinRaw() int64 { return -(int64(1) << uint(f.Width()-1)) }
-
-// MaxFloat returns the most positive representable real value.
-func (f Format) MaxFloat() float64 { return float64(f.MaxRaw()) * f.Quantum() }
-
-// MinFloat returns the most negative representable real value.
-func (f Format) MinFloat() float64 { return float64(f.MinRaw()) * f.Quantum() }
-
-// String renders the format as Q(int.frac).
-func (f Format) String() string { return fmt.Sprintf("Q(%d.%d)", f.Int, f.Frac) }
-
-// Value is a fixed-point number: a raw integer interpreted against a Format.
-type Value struct {
-	Raw int64
-	Fmt Format
-}
-
-// FromFloat quantizes x into the format, applying the format's rounding to
-// the fractional grid and its overflow mode to the integer range.
-func FromFloat(x float64, f Format) Value {
-	if err := f.Validate(); err != nil {
-		panic(err)
-	}
-	scaled := math.Ldexp(x, f.Frac)
-	var raw int64
-	switch f.Round {
-	case Truncate:
-		raw = int64(math.Floor(scaled))
-	case RoundNearest:
-		raw = int64(math.Floor(scaled + 0.5))
-	case RoundConvergent:
-		raw = int64(math.RoundToEven(scaled))
-	default:
-		panic(fmt.Sprintf("fixed: unknown round mode %v", f.Round))
-	}
-	return Value{Raw: f.clamp(raw), Fmt: f}
-}
-
-// clamp applies the overflow mode to a raw value that may exceed the word.
-func (f Format) clamp(raw int64) int64 {
-	max, min := f.MaxRaw(), f.MinRaw()
-	if raw >= min && raw <= max {
-		return raw
-	}
-	switch f.Overflow {
-	case Saturate:
-		if raw > max {
-			return max
-		}
-		return min
-	case Wrap:
-		w := uint(f.Width())
-		masked := uint64(raw) & ((uint64(1) << w) - 1)
-		// Sign-extend.
-		if masked&(uint64(1)<<(w-1)) != 0 {
-			masked |= ^uint64(0) << w
-		}
-		return int64(masked)
-	default:
-		panic(fmt.Sprintf("fixed: unknown overflow mode %v", f.Overflow))
-	}
-}
-
-// Float returns the real value raw * 2^-Frac.
-func (v Value) Float() float64 { return math.Ldexp(float64(v.Raw), -v.Fmt.Frac) }
-
-// String renders the value with its format.
-func (v Value) String() string { return fmt.Sprintf("%g%s", v.Float(), v.Fmt) }
-
-// Add returns v + o in format out. The operands may have different
-// fractional alignments; the sum is computed exactly on the finer grid and
-// then requantized into out.
-func Add(v, o Value, out Format) Value {
-	fmax := v.Fmt.Frac
-	if o.Fmt.Frac > fmax {
-		fmax = o.Fmt.Frac
-	}
-	// Align both to the finer grid. Alignment shifts are small (< 63) by
-	// Format validation, and the aligned sum fits in int64 for all valid
-	// word lengths up to 62 bits; guard with saturation on shift overflow.
-	a := shiftLeftSat(v.Raw, fmax-v.Fmt.Frac)
-	b := shiftLeftSat(o.Raw, fmax-o.Fmt.Frac)
-	sum, overflow := addOverflow(a, b)
-	if overflow {
-		// Resolve using saturation at the widest grid before requantize.
-		if (a > 0) == (b > 0) && a > 0 {
-			sum = math.MaxInt64
-		} else {
-			sum = math.MinInt64
-		}
-	}
-	return requantize(sum, fmax, out)
-}
-
-// Sub returns v - o in format out.
-func Sub(v, o Value, out Format) Value {
-	neg := Value{Raw: -o.Raw, Fmt: o.Fmt}
-	return Add(v, neg, out)
-}
-
-// Mul returns v * o in format out. The double-width product is formed
-// exactly in 128 bits and then rounded once into out, which is the behaviour
-// of a hardware multiplier followed by a single quantizer.
-func Mul(v, o Value, out Format) Value {
-	hi, lo := mul128(v.Raw, o.Raw)
-	prodFrac := v.Fmt.Frac + o.Fmt.Frac
-	return requantize128(hi, lo, prodFrac, out)
-}
-
-// MulConst multiplies by a float constant by first quantizing the constant
-// onto the same grid as out's fractional part plus guard bits, then using
-// the exact fixed multiply. Convenient for coefficient multiplication.
-func MulConst(v Value, c float64, out Format) Value {
-	// Represent the constant with as many fractional bits as fit alongside
-	// the value's width; 31 guard bits is ample for filter coefficients.
-	cf := Format{Int: 32, Frac: 31, Round: RoundNearest, Overflow: Saturate}
-	return Mul(v, FromFloat(c, cf), out)
-}
-
-// requantize shifts a raw value at fracIn fractional bits into format out.
-func requantize(raw int64, fracIn int, out Format) Value {
-	hi := int64(0)
-	if raw < 0 {
-		hi = -1
-	}
-	return requantize128(hi, uint64(raw), fracIn, out)
-}
-
-// requantize128 rounds a signed 128-bit raw value (hi:lo, two's complement)
-// with fracIn fractional bits into out.
-func requantize128(hi int64, lo uint64, fracIn int, out Format) Value {
-	if err := out.Validate(); err != nil {
-		panic(err)
-	}
-	shift := fracIn - out.Frac
-	switch {
-	case shift == 0:
-		return Value{Raw: clamp128(hi, lo, out), Fmt: out}
-	case shift < 0:
-		// Adding fractional bits: shift left, watching for overflow into
-		// the high word.
-		s := uint(-shift)
-		nhi := int64(uint64(hi)<<s | lo>>(64-s))
-		if s >= 64 {
-			nhi = int64(lo << (s - 64))
-		}
-		nlo := lo << s
-		if s >= 64 {
-			nlo = 0
-		}
-		return Value{Raw: clamp128(nhi, nlo, out), Fmt: out}
-	default:
-		rhi, rlo := roundShiftRight128(hi, lo, uint(shift), out.Round)
-		return Value{Raw: clamp128(rhi, rlo, out), Fmt: out}
-	}
-}
-
-// roundShiftRight128 arithmetic-shifts the 128-bit value right by s with the
-// given rounding of the discarded bits.
-func roundShiftRight128(hi int64, lo uint64, s uint, mode RoundMode) (int64, uint64) {
-	if s == 0 {
-		return hi, lo
-	}
-	if s > 127 {
-		s = 127
-	}
-	// Extract discarded bits information: the bit just below the cut
-	// (half) and whether any lower bit is set (sticky).
-	half, sticky := cutInfo(hi, lo, s)
-	shi, slo := asr128(hi, lo, s)
-	switch mode {
-	case Truncate:
-		return shi, slo
-	case RoundNearest:
-		if half {
-			return add128(shi, slo, 0, 1)
-		}
-		return shi, slo
-	case RoundConvergent:
-		if half && (sticky || slo&1 == 1) {
-			return add128(shi, slo, 0, 1)
-		}
-		return shi, slo
-	default:
-		panic(fmt.Sprintf("fixed: unknown round mode %v", mode))
-	}
-}
-
-// cutInfo returns the bit at position s-1 (the half bit) and whether any bit
-// below it is set (sticky) for a 128-bit value.
-func cutInfo(hi int64, lo uint64, s uint) (half, sticky bool) {
-	bitAt := func(pos uint) bool {
-		if pos < 64 {
-			return lo&(uint64(1)<<pos) != 0
-		}
-		return uint64(hi)&(uint64(1)<<(pos-64)) != 0
-	}
-	half = bitAt(s - 1)
-	if s >= 2 {
-		// Any bit in [0, s-2] set?
-		if s-1 <= 64 {
-			mask := (uint64(1) << (s - 1)) - 1
-			sticky = lo&mask != 0
-		} else {
-			if lo != 0 {
-				sticky = true
-			} else {
-				mask := (uint64(1) << (s - 1 - 64)) - 1
-				sticky = uint64(hi)&mask != 0
-			}
-		}
-	}
-	return half, sticky
-}
-
-// asr128 performs an arithmetic shift right of the 128-bit pair.
-func asr128(hi int64, lo uint64, s uint) (int64, uint64) {
-	switch {
-	case s == 0:
-		return hi, lo
-	case s < 64:
-		nlo := lo>>s | uint64(hi)<<(64-s)
-		nhi := hi >> s
-		return nhi, nlo
-	case s < 128:
-		nlo := uint64(hi >> (s - 64))
-		nhi := hi >> 63
-		return nhi, nlo
-	default:
-		return hi >> 63, uint64(hi >> 63)
-	}
-}
-
-// add128 adds two 128-bit values.
-func add128(ahi int64, alo uint64, bhi int64, blo uint64) (int64, uint64) {
-	lo, carry := bits.Add64(alo, blo, 0)
-	hi := ahi + bhi + int64(carry)
-	return hi, lo
-}
-
-// mul128 computes the exact signed 128-bit product of two int64 values.
-func mul128(a, b int64) (int64, uint64) {
-	neg := (a < 0) != (b < 0)
-	ua, ub := uint64(a), uint64(b)
-	if a < 0 {
-		ua = uint64(-a)
-	}
-	if b < 0 {
-		ub = uint64(-b)
-	}
-	hi, lo := bits.Mul64(ua, ub)
-	if neg {
-		// Two's-complement negate the 128-bit magnitude.
-		lo = ^lo + 1
-		hi = ^hi
-		if lo == 0 {
-			hi++
-		}
-	}
-	return int64(hi), lo
-}
-
-// addOverflow adds with overflow detection.
-func addOverflow(a, b int64) (int64, bool) {
-	s := a + b
-	return s, (a > 0 && b > 0 && s < 0) || (a < 0 && b < 0 && s >= 0)
-}
-
-// shiftLeftSat shifts left saturating on overflow (s >= 0).
-func shiftLeftSat(v int64, s int) int64 {
-	if s <= 0 || v == 0 {
-		return v
-	}
-	if s >= 63 {
-		if v > 0 {
-			return math.MaxInt64
-		}
-		return math.MinInt64
-	}
-	r := v << uint(s)
-	if r>>uint(s) != v {
-		if v > 0 {
-			return math.MaxInt64
-		}
-		return math.MinInt64
-	}
-	return r
-}
-
-// clamp128 reduces a 128-bit raw value to the format's word, applying the
-// overflow mode.
-func clamp128(hi int64, lo uint64, f Format) int64 {
-	// In-range iff the 128-bit value sign-extends from the low word and the
-	// low word is inside [MinRaw, MaxRaw].
-	v := int64(lo)
-	if (v >= 0 && hi == 0 || v < 0 && hi == -1) && v >= f.MinRaw() && v <= f.MaxRaw() {
-		return v
-	}
-	switch f.Overflow {
-	case Saturate:
-		if hi < 0 {
-			return f.MinRaw()
-		}
-		return f.MaxRaw()
-	case Wrap:
-		w := uint(f.Width())
-		masked := lo & ((uint64(1) << w) - 1)
-		if w == 64 {
-			masked = lo
-		}
-		if masked&(uint64(1)<<(w-1)) != 0 {
-			masked |= ^uint64(0) << w
-		}
-		return int64(masked)
-	default:
-		panic(fmt.Sprintf("fixed: unknown overflow mode %v", f.Overflow))
 	}
 }

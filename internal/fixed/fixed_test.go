@@ -23,22 +23,6 @@ func TestFormatValidate(t *testing.T) {
 	}
 }
 
-func TestFormatRanges(t *testing.T) {
-	f := NewFormat(4, 4) // 8-bit word: raw in [-128, 127], step 1/16
-	if f.MaxRaw() != 127 || f.MinRaw() != -128 {
-		t.Fatalf("raw range [%d, %d]", f.MinRaw(), f.MaxRaw())
-	}
-	if f.Quantum() != 0.0625 {
-		t.Fatalf("quantum %g", f.Quantum())
-	}
-	if f.MaxFloat() != 127.0/16 || f.MinFloat() != -8 {
-		t.Fatalf("float range [%g, %g]", f.MinFloat(), f.MaxFloat())
-	}
-	if f.String() != "Q(4.4)" {
-		t.Fatalf("string %q", f.String())
-	}
-}
-
 func TestFromFloatRounding(t *testing.T) {
 	ftr := Format{Int: 4, Frac: 2, Round: Truncate, Overflow: Saturate}
 	frn := Format{Int: 4, Frac: 2, Round: RoundNearest, Overflow: Saturate}
@@ -99,128 +83,22 @@ func TestFloatRoundtripExact(t *testing.T) {
 	}
 }
 
-func TestAddExact(t *testing.T) {
-	f := NewFormat(8, 8)
-	a := FromFloat(1.25, f)
-	b := FromFloat(2.5, f)
-	s := Add(a, b, f)
-	if s.Float() != 3.75 {
-		t.Fatalf("1.25+2.5 = %g", s.Float())
+func TestQuantizerModes(t *testing.T) {
+	qt := NewQuantizer(2, Truncate)
+	qr := NewQuantizer(2, RoundNearest)
+	qc := NewQuantizer(2, RoundConvergent)
+	if qt.Apply(0.3) != 0.25 || qt.Apply(-0.3) != -0.5 {
+		t.Fatal("truncate grid")
 	}
-	d := Sub(a, b, f)
-	if d.Float() != -1.25 {
-		t.Fatalf("1.25-2.5 = %g", d.Float())
+	if qr.Apply(0.3) != 0.25 || qr.Apply(0.4) != 0.5 {
+		t.Fatal("nearest grid")
 	}
-}
-
-func TestAddMixedAlignment(t *testing.T) {
-	a := FromFloat(0.5, NewFormat(4, 2))   // grid 0.25
-	b := FromFloat(0.125, NewFormat(4, 8)) // grid 1/256
-	out := NewFormat(8, 8)
-	s := Add(a, b, out)
-	if s.Float() != 0.625 {
-		t.Fatalf("0.5+0.125 = %g", s.Float())
+	if qc.Apply(0.375) != 0.5 || qc.Apply(0.625) != 0.5 {
+		t.Fatal("convergent grid")
 	}
-}
-
-func TestAddSaturates(t *testing.T) {
-	f := NewFormat(4, 4)
-	a := FromFloat(7, f)
-	s := Add(a, a, f)
-	if s.Raw != f.MaxRaw() {
-		t.Fatalf("7+7 should saturate, got raw %d (%g)", s.Raw, s.Float())
+	if qt.inv != 0.25 || qt.frac != 2 || qt.mode != Truncate {
+		t.Fatal("accessors")
 	}
-}
-
-func TestMulExact(t *testing.T) {
-	f := NewFormat(8, 16)
-	a := FromFloat(1.5, f)
-	b := FromFloat(-2.25, f)
-	p := Mul(a, b, f)
-	if p.Float() != -3.375 {
-		t.Fatalf("1.5*-2.25 = %g", p.Float())
-	}
-}
-
-func TestMulLargeFractional(t *testing.T) {
-	// Products of Q(2.30) values need 60 fractional bits: exercises the
-	// 128-bit path.
-	f := NewFormat(2, 30)
-	a := FromFloat(0.7, f)
-	b := FromFloat(0.6, f)
-	p := Mul(a, b, f)
-	want := a.Float() * b.Float()
-	if math.Abs(p.Float()-want) > f.Quantum() {
-		t.Fatalf("product %g, want %g +- %g", p.Float(), want, f.Quantum())
-	}
-}
-
-func TestMulMatchesFloatProperty(t *testing.T) {
-	f := NewFormat(4, 24)
-	fn := func(xa, xb float64) bool {
-		xa = math.Mod(xa, 4)
-		xb = math.Mod(xb, 4)
-		if math.IsNaN(xa) || math.IsNaN(xb) {
-			return true
-		}
-		a, b := FromFloat(xa, f), FromFloat(xb, f)
-		p := Mul(a, b, f)
-		want := a.Float() * b.Float()
-		if want > f.MaxFloat() || want < f.MinFloat() {
-			return true // saturation territory, checked elsewhere
-		}
-		return math.Abs(p.Float()-want) <= f.Quantum()
-	}
-	if err := quick.Check(fn, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMulConst(t *testing.T) {
-	f := NewFormat(4, 20)
-	v := FromFloat(0.5, f)
-	p := MulConst(v, 0.125, f)
-	if math.Abs(p.Float()-0.0625) > f.Quantum() {
-		t.Fatalf("0.5*0.125 = %g", p.Float())
-	}
-}
-
-func TestMul128Sign(t *testing.T) {
-	cases := []struct{ a, b int64 }{
-		{3, 5}, {-3, 5}, {3, -5}, {-3, -5},
-		{math.MaxInt64, 2}, {math.MinInt64 + 1, 3},
-	}
-	for _, c := range cases {
-		hi, lo := mul128(c.a, c.b)
-		if sm, over := smallProduct(c.a, c.b); over {
-			// Product exceeds int64: check the float64 approximation,
-			// which is exact to within relative 2^-52.
-			got := float64(hi)*math.Ldexp(1, 64) + float64(lo)
-			want := float64(c.a) * float64(c.b)
-			if math.Abs(got-want) > math.Abs(want)*1e-9 {
-				t.Errorf("mul128(%d,%d): hi=%d lo=%d (approx %g), want %g", c.a, c.b, hi, lo, got, want)
-			}
-		} else {
-			// Product fits in int64: hi must be its sign extension and lo
-			// its two's-complement bits.
-			wantHi := int64(0)
-			if sm < 0 {
-				wantHi = -1
-			}
-			if hi != wantHi || int64(lo) != sm {
-				t.Errorf("mul128(%d,%d) = (%d, %d), want (%d, %d)", c.a, c.b, hi, lo, wantHi, sm)
-			}
-		}
-	}
-}
-
-// smallProduct returns a*b and whether it overflows int64.
-func smallProduct(a, b int64) (int64, bool) {
-	p := a * b
-	if a != 0 && p/a != b {
-		return 0, true
-	}
-	return p, false
 }
 
 func TestRequantizeRoundModes(t *testing.T) {
@@ -239,29 +117,10 @@ func TestRequantizeRoundModes(t *testing.T) {
 		{-6, RoundNearest, -1},  // -1.5 -> -1 (half up on raw)
 	}
 	for _, c := range cases {
-		out := Format{Int: 8, Frac: 0, Round: c.mode, Overflow: Saturate}
-		got := requantize(c.raw, 2, out)
-		if got.Raw != c.want {
-			t.Errorf("requantize(%d, frac 2 -> 0, %v) = %d, want %d", c.raw, c.mode, got.Raw, c.want)
+		got := NewQuantizer(0, c.mode).Apply(math.Ldexp(float64(c.raw), -2))
+		if got != float64(c.want) {
+			t.Errorf("requantize(%d, frac 2 -> 0, %v) = %g, want %d", c.raw, c.mode, got, c.want)
 		}
-	}
-}
-
-func TestQuantizerModes(t *testing.T) {
-	qt := NewQuantizer(2, Truncate)
-	qr := NewQuantizer(2, RoundNearest)
-	qc := NewQuantizer(2, RoundConvergent)
-	if qt.Apply(0.3) != 0.25 || qt.Apply(-0.3) != -0.5 {
-		t.Fatal("truncate grid")
-	}
-	if qr.Apply(0.3) != 0.25 || qr.Apply(0.4) != 0.5 {
-		t.Fatal("nearest grid")
-	}
-	if qc.Apply(0.375) != 0.5 || qc.Apply(0.625) != 0.5 {
-		t.Fatal("convergent grid")
-	}
-	if qt.Step() != 0.25 || qt.Frac() != 2 || qt.Mode() != Truncate {
-		t.Fatal("accessors")
 	}
 }
 
@@ -269,7 +128,7 @@ func TestQuantizerErrorBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, mode := range []RoundMode{Truncate, RoundNearest, RoundConvergent} {
 		q := NewQuantizer(10, mode)
-		step := q.Step()
+		step := q.inv
 		for i := 0; i < 2000; i++ {
 			x := rng.NormFloat64() * 3
 			e := x - q.Apply(x)
@@ -326,26 +185,9 @@ func TestQuantizerIdempotent(t *testing.T) {
 func TestQuantizerSliceHelpers(t *testing.T) {
 	q := NewQuantizer(1, Truncate)
 	x := []float64{0.4, 0.9, -0.4}
-	cp := q.Quantized(x)
-	if x[0] != 0.4 {
-		t.Fatal("Quantized must not mutate input")
-	}
-	if cp[0] != 0 || cp[1] != 0.5 || cp[2] != -0.5 {
-		t.Fatalf("Quantized = %v", cp)
-	}
 	q.ApplySlice(x)
 	if x[0] != 0 || x[1] != 0.5 || x[2] != -0.5 {
 		t.Fatalf("ApplySlice = %v", x)
-	}
-	if e := q.Error(0.4); e != 0.4 {
-		t.Fatalf("Error = %g", e)
-	}
-}
-
-func TestIdentityQuantizer(t *testing.T) {
-	var id Identity
-	if id.Apply(0.123456) != 0.123456 {
-		t.Fatal("identity must pass through")
 	}
 }
 
@@ -373,15 +215,5 @@ func BenchmarkQuantizerApply(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = q.Apply(float64(i) * 1e-3)
-	}
-}
-
-func BenchmarkMul128(b *testing.B) {
-	f := NewFormat(2, 30)
-	x := FromFloat(0.7, f)
-	y := FromFloat(0.6, f)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = Mul(x, y, f)
 	}
 }

@@ -9,8 +9,7 @@ import (
 // rounding mode, without range clipping. This is the fast path used by the
 // Monte-Carlo simulation engine: it models the additive quantization-noise
 // source at a block boundary exactly (the paper's block-level noise model
-// concerns precision, not dynamic range, which is handled separately by
-// range analysis).
+// concerns precision, not dynamic range).
 //
 // The grid arithmetic is exact in float64 whenever |x|*2^Frac stays below
 // 2^52, which holds with wide margin for the unit-scale signals and
@@ -29,15 +28,6 @@ func NewQuantizer(frac int, mode RoundMode) *Quantizer {
 	}
 	return &Quantizer{frac: frac, mode: mode, scale: math.Ldexp(1, frac), inv: math.Ldexp(1, -frac)}
 }
-
-// Frac returns the number of fractional bits.
-func (q *Quantizer) Frac() int { return q.frac }
-
-// Mode returns the rounding mode.
-func (q *Quantizer) Mode() RoundMode { return q.mode }
-
-// Step returns the quantization step 2^-frac.
-func (q *Quantizer) Step() float64 { return q.inv }
 
 // Apply quantizes a single sample.
 func (q *Quantizer) Apply(x float64) float64 {
@@ -61,34 +51,3 @@ func (q *Quantizer) ApplySlice(x []float64) []float64 {
 	}
 	return x
 }
-
-// Quantized returns a quantized copy of x.
-func (q *Quantizer) Quantized(x []float64) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = q.Apply(v)
-	}
-	return out
-}
-
-// Error returns x - Apply(x), the (negated) additive noise the quantizer
-// injects at this sample.
-func (q *Quantizer) Error(x float64) float64 { return x - q.Apply(x) }
-
-// Identity is a pass-through quantizer (infinite precision); used to disable
-// quantization at selected blocks.
-type Identity struct{}
-
-// Apply returns x unchanged.
-func (Identity) Apply(x float64) float64 { return x }
-
-// PointQuantizer is the single-sample quantization interface shared by
-// Quantizer and Identity.
-type PointQuantizer interface {
-	Apply(x float64) float64
-}
-
-var (
-	_ PointQuantizer = (*Quantizer)(nil)
-	_ PointQuantizer = Identity{}
-)

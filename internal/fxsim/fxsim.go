@@ -42,10 +42,6 @@ type Config struct {
 	Window dsp.WindowType
 	// KeepError retains the raw error signal in the outcome.
 	KeepError bool
-	// Workers bounds the number of shards RunParallel executes
-	// concurrently; <= 0 selects runtime.GOMAXPROCS(0). The outcome is
-	// deterministic for a fixed (Seed, shards) pair regardless of Workers.
-	Workers int
 }
 
 // Outcome reports the measured fixed-point error at the graph output.
@@ -111,10 +107,9 @@ func Measure(cfg Config, sim func(x []float64) (ref, fx []float64, err error)) (
 	return acc.outcome()
 }
 
-// simulate is the simulator behind Run, RunParallel and the tests: it
-// validates the graph, builds the reference and fixed-point engines, and
-// pushes every input through both, chunk samples at a time, into one
-// accumulator.
+// simulate is the simulator behind Run and the tests: it validates the
+// graph, builds the reference and fixed-point engines, and pushes every
+// input through both, chunk samples at a time, into one accumulator.
 func simulate(g *sfg.Graph, cfg Config, chunk int) (*accumulator, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -201,8 +196,7 @@ func (s *source) next(n int) []float64 {
 // streamSeed derives the seed of a private random stream from the run seed
 // and a key (2·id for a further input's stimulus, 2·id+1 for a node's
 // override noise) with the splitmix64 finalizer, so the streams of a run
-// are unrelated to each other and to those of neighbouring seeds, which
-// RunParallel's shards use.
+// are unrelated to each other and to those of neighbouring seeds.
 func streamSeed(seed int64, key uint64) int64 {
 	z := uint64(seed) + (key+1)*0x9e3779b97f4a7c15
 	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
@@ -238,14 +232,6 @@ func (a *accumulator) add(ref, fx []float64) {
 			a.batch, a.batchN = 0, 0
 		}
 	}
-}
-
-// merge folds another shard's accumulator into a (parallel Welford
-// combination); the shards' open batches are dropped.
-func (a *accumulator) merge(o *accumulator) {
-	a.err.Merge(o.err)
-	a.ref.Merge(o.ref)
-	a.batches.Merge(o.batches)
 }
 
 func (a *accumulator) outcome() (*Outcome, error) {

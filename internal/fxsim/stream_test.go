@@ -221,8 +221,8 @@ func TestRunStreamingWithPSD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.ErrPSD.N() != 64 {
-		t.Fatalf("PSD bins %d", o.ErrPSD.N())
+	if len(o.ErrPSD.Bins) != 64 {
+		t.Fatalf("PSD bins %d", len(o.ErrPSD.Bins))
 	}
 	if math.Abs(o.ErrPSD.Variance()-o.Variance) > 0.1*o.Variance {
 		t.Fatalf("PSD variance %g vs %g", o.ErrPSD.Variance(), o.Variance)

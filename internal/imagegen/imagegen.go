@@ -3,8 +3,8 @@
 // DWT experiments (see DESIGN.md, substitution 2): 1/f^alpha Gaussian
 // random fields matching the aggregate spectral statistics of natural
 // images, plus deterministic structures (gratings, checkerboards,
-// gradients) and mixtures. It also reads and writes binary PGM for the
-// Fig. 7 outputs.
+// gradients) and mixtures. It also writes binary PGM for the Fig. 7
+// outputs.
 package imagegen
 
 import (
@@ -105,34 +105,11 @@ func Generate(rows, cols int, seed int64, opt Options) (wavelet.Image, error) {
 	return img, nil
 }
 
-// Corpus generates n deterministic images cycling through all kinds with
-// varying parameters — the stand-in for the paper's 196-image corpus.
-func Corpus(n, rows, cols int, seed int64) ([]wavelet.Image, error) {
-	kinds := []Kind{SpectralField, Mixture, Grating, Checkerboard, Gradient}
-	alphas := []float64{0.8, 1.0, 1.2, 1.5}
-	periods := []int{4, 8, 16}
-	out := make([]wavelet.Image, 0, n)
-	for i := 0; i < n; i++ {
-		opt := Options{
-			Kind:   kinds[i%len(kinds)],
-			Alpha:  alphas[i%len(alphas)],
-			Period: periods[i%len(periods)],
-		}
-		img, err := Generate(rows, cols, seed+int64(i)*7919, opt)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, img)
-	}
-	return out, nil
-}
-
 // NoiseCorpus generates n deterministic 1/f^alpha random fields with
-// varying slopes. Unlike Corpus it excludes the purely periodic and
-// piecewise-constant kinds, whose quantization error is signal-correlated
-// (violating the PQN model) and shows up as spectral lines — the
-// appropriate stand-in when the experiment's point is the noise spectrum,
-// as in Fig. 7.
+// varying slopes. It excludes the purely periodic and piecewise-constant
+// kinds, whose quantization error is signal-correlated (violating the PQN
+// model) and shows up as spectral lines — the appropriate stand-in when the
+// experiment's point is the noise spectrum, as in Fig. 7.
 func NoiseCorpus(n, rows, cols int, seed int64) ([]wavelet.Image, error) {
 	alphas := []float64{0.8, 1.0, 1.2, 1.5}
 	out := make([]wavelet.Image, 0, n)
@@ -275,38 +252,4 @@ func WritePGM(w io.Writer, img wavelet.Image, lo, hi float64) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadPGM reads an 8-bit binary PGM into an image scaled to [0, 1].
-func ReadPGM(r io.Reader) (wavelet.Image, error) {
-	br := bufio.NewReader(r)
-	var magic string
-	if _, err := fmt.Fscan(br, &magic); err != nil {
-		return nil, fmt.Errorf("imagegen: reading magic: %w", err)
-	}
-	if magic != "P5" {
-		return nil, fmt.Errorf("imagegen: unsupported magic %q", magic)
-	}
-	var cols, rows, maxval int
-	if _, err := fmt.Fscan(br, &cols, &rows, &maxval); err != nil {
-		return nil, fmt.Errorf("imagegen: reading header: %w", err)
-	}
-	if cols <= 0 || rows <= 0 || maxval <= 0 || maxval > 255 {
-		return nil, fmt.Errorf("imagegen: bad header %dx%d max %d", cols, rows, maxval)
-	}
-	// Single whitespace byte separates header from data.
-	if _, err := br.ReadByte(); err != nil {
-		return nil, err
-	}
-	img := wavelet.NewImage(rows, cols)
-	buf := make([]byte, cols)
-	for r := 0; r < rows; r++ {
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("imagegen: reading row %d: %w", r, err)
-		}
-		for c, b := range buf {
-			img[r][c] = float64(b) / float64(maxval)
-		}
-	}
-	return img, nil
 }

@@ -1,9 +1,14 @@
 package imagegen
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"math"
 	"testing"
+
+	"repro/internal/wavelet"
 )
 
 func TestGenerateAllKinds(t *testing.T) {
@@ -88,7 +93,7 @@ func TestSpectralFieldHasLowFrequencyBias(t *testing.T) {
 }
 
 func TestCorpusCountAndVariety(t *testing.T) {
-	imgs, err := Corpus(12, 16, 16, 99)
+	imgs, err := NoiseCorpus(12, 16, 16, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,6 +112,41 @@ func TestCorpusCountAndVariety(t *testing.T) {
 	if !diff {
 		t.Fatal("corpus images should differ")
 	}
+}
+
+// ReadPGM decodes an 8-bit binary PGM into an image scaled to [0, 1]: the
+// reference WritePGM's output is read back with.
+func ReadPGM(r io.Reader) (wavelet.Image, error) {
+	br := bufio.NewReader(r)
+	var magic string
+	if _, err := fmt.Fscan(br, &magic); err != nil {
+		return nil, fmt.Errorf("imagegen: reading magic: %w", err)
+	}
+	if magic != "P5" {
+		return nil, fmt.Errorf("imagegen: unsupported magic %q", magic)
+	}
+	var cols, rows, maxval int
+	if _, err := fmt.Fscan(br, &cols, &rows, &maxval); err != nil {
+		return nil, fmt.Errorf("imagegen: reading header: %w", err)
+	}
+	if cols <= 0 || rows <= 0 || maxval <= 0 || maxval > 255 {
+		return nil, fmt.Errorf("imagegen: bad header %dx%d max %d", cols, rows, maxval)
+	}
+	// Single whitespace byte separates header from data.
+	if _, err := br.ReadByte(); err != nil {
+		return nil, err
+	}
+	img := wavelet.NewImage(rows, cols)
+	buf := make([]byte, cols)
+	for r := 0; r < rows; r++ {
+		if _, err := io.ReadFull(br, buf); err != nil {
+			return nil, fmt.Errorf("imagegen: reading row %d: %w", r, err)
+		}
+		for c, b := range buf {
+			img[r][c] = float64(b) / float64(maxval)
+		}
+	}
+	return img, nil
 }
 
 func TestPGMRoundtrip(t *testing.T) {

@@ -125,9 +125,6 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n (n must be >= 0 to keep the counter monotonic).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
 // Value reports the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 

@@ -12,7 +12,8 @@ func TestCounterAndExposition(t *testing.T) {
 	r := New()
 	c := r.Counter("requests_total", "Total requests.", "route", "submit", "code", "202")
 	c.Inc()
-	c.Add(2)
+	c.Inc()
+	c.Inc()
 	// Same identity returns the same metric.
 	if again := r.Counter("requests_total", "Total requests.", "route", "submit", "code", "202"); again != c {
 		t.Fatalf("re-registration created a new counter")

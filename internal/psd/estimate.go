@@ -70,36 +70,3 @@ func Estimate(x []float64, opts EstimateOptions) (PSD, error) {
 	}
 	return out, nil
 }
-
-// MustEstimate is Estimate panicking on error, for tests and examples with
-// known-good arguments.
-func MustEstimate(x []float64, opts EstimateOptions) PSD {
-	p, err := Estimate(x, opts)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// Periodogram computes the single-segment estimate on len(x) bins (after
-// mean removal), the raw building block of Welch's method.
-func Periodogram(x []float64) PSD {
-	n := len(x)
-	if n == 0 {
-		panic("psd: periodogram of empty signal")
-	}
-	mean := stats.Mean(x)
-	buf := make([]complex128, n)
-	for i, v := range x {
-		buf[i] = complex(v-mean, 0)
-	}
-	fft.NewPlan().ForwardInPlace(buf)
-	out := New(n)
-	out.Mean = mean
-	inv := 1 / float64(n) / float64(n)
-	for k, c := range buf {
-		re, im := real(c), imag(c)
-		out.Bins[k] = (re*re + im*im) * inv
-	}
-	return out
-}

@@ -1,9 +1,8 @@
 // Package psd implements the power-spectral-density substrate of the
 // paper's method: a discrete PSD type sampled on N uniform bins of
-// normalized frequency [0,1), construction of white quantization-noise
-// source spectra (Eq. 10), propagation through LTI blocks (Eq. 11), adders
-// (Eq. 12/14), and multirate blocks (aliasing for decimation, imaging for
-// expansion), plus periodogram/Welch estimation from sample runs.
+// normalized frequency [0,1), propagation through LTI blocks (Eq. 11),
+// adders (Eq. 12/14), and multirate blocks (aliasing for decimation,
+// imaging for expansion), plus Welch estimation from sample runs.
 //
 // Representation: Bins[k] holds the power of the zero-mean (AC) part of the
 // signal in the band around F = k/N, so sum(Bins) == variance (the discrete
@@ -37,22 +36,6 @@ func New(n int) PSD {
 	}
 	return PSD{Bins: make([]float64, n)}
 }
-
-// White returns the PSD of a white noise source with the given mean and
-// variance: every bin carries variance/n (Eq. 10 with the mean kept
-// separate).
-func White(mean, variance float64, n int) PSD {
-	p := New(n)
-	p.Mean = mean
-	per := variance / float64(n)
-	for i := range p.Bins {
-		p.Bins[i] = per
-	}
-	return p
-}
-
-// N returns the number of bins.
-func (p PSD) N() int { return len(p.Bins) }
 
 // Clone returns a deep copy.
 func (p PSD) Clone() PSD {
@@ -104,31 +87,9 @@ func AddInto(dst, a, b []float64) []float64 {
 	return dst
 }
 
-// Power returns the total power E[x^2] = mean^2 + variance (Eq. 9).
-func (p PSD) Power() float64 { return p.Mean*p.Mean + p.Variance() }
-
-// Scale multiplies the signal by constant g: mean scales by g, bins by g^2.
-func (p PSD) Scale(g float64) PSD {
-	out := p.Clone()
-	out.Mean *= g
-	g2 := g * g
-	for i := range out.Bins {
-		out.Bins[i] *= g2
-	}
-	return out
-}
-
-// ApplyLTI propagates the PSD through an LTI block with the sampled complex
-// frequency response resp (len(resp) must equal len(Bins)): bins are scaled
-// by |H|^2 (Eq. 11), the mean by the real DC gain H(0).
-func (p PSD) ApplyLTI(resp []complex128) PSD {
-	out := p.Clone()
-	out.ApplyLTIInPlace(resp)
-	return out
-}
-
-// ApplyLTIInPlace is ApplyLTI without the copy: p's own bins are scaled by
-// |H|^2 and its mean by the real DC gain.
+// ApplyLTIInPlace propagates the PSD through an LTI block with the sampled
+// complex frequency response resp (len(resp) must equal len(Bins)): p's own
+// bins are scaled by |H|^2 (Eq. 11), its mean by the real DC gain H(0).
 func (p *PSD) ApplyLTIInPlace(resp []complex128) {
 	if len(resp) != len(p.Bins) {
 		panic(fmt.Sprintf("psd: response length %d != bins %d", len(resp), len(p.Bins)))
@@ -138,28 +99,6 @@ func (p *PSD) ApplyLTIInPlace(resp []complex128) {
 		re, im := real(h), imag(h)
 		p.Bins[i] *= re*re + im*im
 	}
-}
-
-// ApplyMagnitude2 is ApplyLTI given |H|^2 directly.
-func (p PSD) ApplyMagnitude2(mag2 []float64, dcGain float64) PSD {
-	if len(mag2) != len(p.Bins) {
-		panic(fmt.Sprintf("psd: magnitude length %d != bins %d", len(mag2), len(p.Bins)))
-	}
-	out := p.Clone()
-	out.Mean *= dcGain
-	for i, m := range mag2 {
-		out.Bins[i] *= m
-	}
-	return out
-}
-
-// AddUncorrelated returns the PSD of the sum of two uncorrelated signals
-// (Eq. 14): AC bins add; means add signed (deterministic components always
-// sum coherently, capturing Eq. 12's DC cross-terms).
-func (p PSD) AddUncorrelated(o PSD) PSD {
-	out := p.Clone()
-	out.AddInPlace(o)
-	return out
 }
 
 // AddInPlace accumulates an uncorrelated signal's PSD into p (Eq. 14)
@@ -174,21 +113,15 @@ func (p *PSD) AddInPlace(o PSD) {
 	}
 }
 
-// Downsample returns the PSD after keeping every factor-th sample. The
-// variance of a wide-sense-stationary process is invariant under decimation;
-// the spectrum aliases:
+// DownsampleInto writes into out the PSD after keeping every factor-th
+// sample, and returns out. The variance of a wide-sense-stationary process
+// is invariant under decimation; the spectrum aliases:
 //
 //	D_out(F) = (1/M) sum_{m=0}^{M-1} D_in((F+m)/M)
 //
 // evaluated with circular linear interpolation of the input density so that
-// power lands between grid points smoothly. The mean is unchanged.
-func (p PSD) Downsample(factor int) PSD {
-	return p.DownsampleInto(New(len(p.Bins)), factor)
-}
-
-// DownsampleInto is Downsample writing into a caller-provided PSD of the
-// same bin count (whose contents are overwritten); it returns out. The
-// destination must not alias p.
+// power lands between grid points smoothly. The mean is unchanged. out must
+// have p's bin count (its contents are overwritten) and must not alias p.
 func (p PSD) DownsampleInto(out PSD, factor int) PSD {
 	if factor < 1 {
 		panic(fmt.Sprintf("psd: downsample factor %d", factor))
@@ -247,22 +180,16 @@ func (p PSD) densityAt(pos float64) float64 {
 	return d0*(1-frac) + d1*frac
 }
 
-// Upsample returns the PSD after zero-stuffing by factor L. For a
-// wide-sense-stationary input, r_y[m] = r_x[m/L]/L when L divides m and 0
-// otherwise, so the density is S_y(F) = S_x(L F mod 1)/L (imaging) and the
-// total power divides by L. Integrating the density over each output bin
-// gives the exact grid rule
+// UpsampleInto writes into out the PSD after zero-stuffing by factor L, and
+// returns out. For a wide-sense-stationary input, r_y[m] = r_x[m/L]/L when
+// L divides m and 0 otherwise, so the density is S_y(F) = S_x(L F mod 1)/L
+// (imaging) and the total power divides by L. Integrating the density over
+// each output bin gives the exact grid rule
 //
 //	Bins_out[j] = (1/L^2) * sum_{m=0}^{L-1} Bins_in[(L j + m) mod N]
 //
-// The mean divides by L (zero samples dilute the DC component).
-func (p PSD) Upsample(factor int) PSD {
-	return p.UpsampleInto(New(len(p.Bins)), factor)
-}
-
-// UpsampleInto is Upsample writing into a caller-provided PSD of the same
-// bin count (whose contents are overwritten); it returns out. The
-// destination must not alias p.
+// The mean divides by L (zero samples dilute the DC component). out must
+// have p's bin count (its contents are overwritten) and must not alias p.
 func (p PSD) UpsampleInto(out PSD, factor int) PSD {
 	if factor < 1 {
 		panic(fmt.Sprintf("psd: upsample factor %d", factor))
@@ -326,22 +253,4 @@ func (p PSD) Resample(m int) PSD {
 		}
 	}
 	return out
-}
-
-// Distance returns the mean absolute per-bin difference between two PSDs of
-// equal length, a crude spectral similarity metric used in tests.
-func (p PSD) Distance(o PSD) float64 {
-	if len(o.Bins) != len(p.Bins) {
-		panic("psd: distance between different grids")
-	}
-	var s float64
-	for i := range p.Bins {
-		s += math.Abs(p.Bins[i] - o.Bins[i])
-	}
-	return s / float64(len(p.Bins))
-}
-
-// String summarizes the PSD.
-func (p PSD) String() string {
-	return fmt.Sprintf("PSD{n=%d mean=%.4g var=%.4g}", len(p.Bins), p.Mean, p.Variance())
 }

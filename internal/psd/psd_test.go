@@ -3,18 +3,43 @@ package psd
 import (
 	"math"
 	"math/rand"
-	"strings"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/dsp"
+	"repro/internal/fft"
 	"repro/internal/filter"
 )
 
+// White returns the PSD of a white noise source with the given mean and
+// variance: every bin carries variance/n (Eq. 10 with the mean kept
+// separate).
+func White(mean, variance float64, n int) PSD {
+	p := New(n)
+	p.Mean = mean
+	per := variance / float64(n)
+	for i := range p.Bins {
+		p.Bins[i] = per
+	}
+	return p
+}
+
+// MustEstimate is Estimate panicking on error, for known-good arguments.
+func MustEstimate(x []float64, opts EstimateOptions) PSD {
+	p, err := Estimate(x, opts)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// TestWhiteConstruction checks the White fixture the tests below build on:
+// every bin carries variance/n and the mean stays separate.
 func TestWhiteConstruction(t *testing.T) {
 	p := White(0.5, 2.0, 64)
-	if p.N() != 64 {
-		t.Fatalf("bins %d", p.N())
+	if len(p.Bins) != 64 {
+		t.Fatalf("bins %d", len(p.Bins))
 	}
 	if p.Mean != 0.5 {
 		t.Fatalf("mean %g", p.Mean)
@@ -22,8 +47,8 @@ func TestWhiteConstruction(t *testing.T) {
 	if math.Abs(p.Variance()-2.0) > 1e-12 {
 		t.Fatalf("variance %g", p.Variance())
 	}
-	if math.Abs(p.Power()-(0.25+2.0)) > 1e-12 {
-		t.Fatalf("power %g", p.Power())
+	if power := p.Mean*p.Mean + p.Variance(); math.Abs(power-(0.25+2.0)) > 1e-12 {
+		t.Fatalf("power %g", power)
 	}
 	for _, b := range p.Bins {
 		if math.Abs(b-2.0/64) > 1e-15 {
@@ -32,8 +57,15 @@ func TestWhiteConstruction(t *testing.T) {
 	}
 }
 
+// TestScale: a gain block is an LTI block with the flat response g, so it
+// scales the mean by g and the variance by g^2.
 func TestScale(t *testing.T) {
-	p := White(1, 4, 16).Scale(-3)
+	p := White(1, 4, 16)
+	resp := make([]complex128, len(p.Bins))
+	for i := range resp {
+		resp[i] = -3
+	}
+	p.ApplyLTIInPlace(resp)
 	if p.Mean != -3 {
 		t.Fatalf("mean %g", p.Mean)
 	}
@@ -48,7 +80,8 @@ func TestApplyLTIWhiteThroughFilter(t *testing.T) {
 	n := 256
 	resp := f.Response(n)
 	in := White(0, 1, n)
-	out := in.ApplyLTI(resp)
+	out := in.Clone()
+	out.ApplyLTIInPlace(resp)
 	want := f.PowerGain()
 	if math.Abs(out.Variance()-want) > 1e-9 {
 		t.Fatalf("variance %g, want %g", out.Variance(), want)
@@ -59,20 +92,27 @@ func TestApplyLTIMeanGain(t *testing.T) {
 	f := filter.NewFIR([]float64{0.25, 0.25, 0.25, 0.25}, "ma")
 	n := 64
 	in := White(2, 1, n)
-	out := in.ApplyLTI(f.Response(n))
+	out := in.Clone()
+	out.ApplyLTIInPlace(f.Response(n))
 	if math.Abs(out.Mean-2*f.DCGain()) > 1e-12 {
 		t.Fatalf("mean %g, want %g", out.Mean, 2*f.DCGain())
 	}
 }
 
+// TestApplyMagnitude2MatchesApplyLTI: scaling the cached |H|^2 profile
+// with ScaleInto (the transfer-cache path) must agree with propagating the
+// PSD through the complex response.
 func TestApplyMagnitude2MatchesApplyLTI(t *testing.T) {
 	f := filter.Filter{B: []float64{1, -0.5}, A: []float64{1, -0.25}}
 	n := 128
 	resp := f.Response(n)
-	mag2 := f.Magnitude2(n)
+	mag2 := fft.Magnitude2(resp)
 	in := White(0.3, 1.7, n)
-	a := in.ApplyLTI(resp)
-	b := in.ApplyMagnitude2(mag2, f.DCGain())
+	a := in.Clone()
+	a.ApplyLTIInPlace(resp)
+	b := New(n)
+	b.Mean = in.Mean * f.DCGain()
+	ScaleInto(b.Bins, mag2, 1.7/float64(n))
 	if math.Abs(a.Variance()-b.Variance()) > 1e-10 || math.Abs(a.Mean-b.Mean) > 1e-12 {
 		t.Fatal("magnitude path disagrees with response path")
 	}
@@ -81,7 +121,8 @@ func TestApplyMagnitude2MatchesApplyLTI(t *testing.T) {
 func TestAddUncorrelated(t *testing.T) {
 	a := White(1, 2, 32)
 	b := White(-0.5, 3, 32)
-	s := a.AddUncorrelated(b)
+	s := a.Clone()
+	s.AddInPlace(b)
 	if s.Mean != 0.5 {
 		t.Fatalf("mean %g", s.Mean)
 	}
@@ -89,15 +130,15 @@ func TestAddUncorrelated(t *testing.T) {
 		t.Fatalf("variance %g", s.Variance())
 	}
 	// Mean cross-term appears in total power: (mu_a+mu_b)^2 != mu_a^2+mu_b^2.
-	if math.Abs(s.Power()-(0.25+5)) > 1e-12 {
-		t.Fatalf("power %g", s.Power())
+	if power := s.Mean*s.Mean + s.Variance(); math.Abs(power-(0.25+5)) > 1e-12 {
+		t.Fatalf("power %g", power)
 	}
 }
 
 func TestDownsamplePreservesVarianceWhite(t *testing.T) {
 	p := White(0.7, 3, 128)
 	for _, m := range []int{1, 2, 3, 4, 8} {
-		d := p.Downsample(m)
+		d := p.DownsampleInto(New(len(p.Bins)), m)
 		if math.Abs(d.Variance()-3) > 1e-9 {
 			t.Fatalf("M=%d: variance %g, want 3", m, d.Variance())
 		}
@@ -114,7 +155,7 @@ func TestDownsampleAliasesColoredSpectrum(t *testing.T) {
 	k0 := 10
 	p.Bins[k0] = 1
 	p.Bins[n-k0] = 1
-	d := p.Downsample(2)
+	d := p.DownsampleInto(New(n), 2)
 	if math.Abs(d.Variance()-2) > 1e-9 {
 		t.Fatalf("variance %g, want 2", d.Variance())
 	}
@@ -133,7 +174,7 @@ func TestUpsampleImagesSpectrum(t *testing.T) {
 	p := New(n)
 	p.Mean = 1
 	p.Bins[4] = 2
-	u := p.Upsample(2)
+	u := p.UpsampleInto(New(n), 2)
 	if math.Abs(u.Mean-0.5) > 1e-12 {
 		t.Fatalf("mean %g, want 0.5", u.Mean)
 	}
@@ -149,7 +190,7 @@ func TestUpsampleImagesSpectrum(t *testing.T) {
 
 func TestUpsampleWhiteStaysWhite(t *testing.T) {
 	p := White(0, 4, 64)
-	u := p.Upsample(4)
+	u := p.UpsampleInto(New(64), 4)
 	if math.Abs(u.Variance()-1) > 1e-12 {
 		t.Fatalf("variance %g, want 1", u.Variance())
 	}
@@ -164,7 +205,7 @@ func TestDownUpsampleRoundtripWhiteVariance(t *testing.T) {
 	fn := func(seed int64, msel uint8) bool {
 		m := 2 + int(msel)%3
 		p := White(0, 1, 96)
-		r := p.Downsample(m).Upsample(m)
+		r := p.DownsampleInto(New(96), m).UpsampleInto(New(96), m)
 		return math.Abs(r.Variance()-1.0/float64(m)) < 1e-9
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 20}); err != nil {
@@ -184,8 +225,8 @@ func TestResamplePreservesVariance(t *testing.T) {
 		if math.Abs(r.Variance()-v) > 1e-9*v {
 			t.Fatalf("resample to %d: variance %g, want %g", m, r.Variance(), v)
 		}
-		if r.N() != m {
-			t.Fatalf("bins %d", r.N())
+		if len(r.Bins) != m {
+			t.Fatalf("bins %d", len(r.Bins))
 		}
 	}
 }
@@ -196,7 +237,9 @@ func TestPeriodogramVarianceExact(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64() + 2
 	}
-	p := Periodogram(x)
+	// One rectangular segment spanning the whole signal is the plain
+	// periodogram.
+	p := MustEstimate(x, EstimateOptions{Bins: len(x)})
 	var mean float64
 	for _, v := range x {
 		mean += v
@@ -247,7 +290,8 @@ func TestEstimateFilteredNoiseMatchesAnalytic(t *testing.T) {
 	}
 	nb := 64
 	est := MustEstimate(x, EstimateOptions{Bins: nb, Window: dsp.Hann, Overlap: 0.5})
-	ana := White(0, 1, nb).ApplyLTI(f.Response(nb))
+	ana := White(0, 1, nb)
+	ana.ApplyLTIInPlace(f.Response(nb))
 	if math.Abs(est.Variance()-ana.Variance()) > 0.05*ana.Variance() {
 		t.Fatalf("variance est %g vs analytic %g", est.Variance(), ana.Variance())
 	}
@@ -286,21 +330,10 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestDistance(t *testing.T) {
-	a := White(0, 1, 10)
-	b := White(0, 2, 10)
-	if d := a.Distance(b); math.Abs(d-0.1) > 1e-12 {
-		t.Fatalf("distance %g, want 0.1", d)
-	}
-	if a.Distance(a) != 0 {
-		t.Fatal("self distance")
-	}
-}
-
 func TestDownsampleIdentityFactor1(t *testing.T) {
 	p := White(0.5, 1, 32)
-	d := p.Downsample(1)
-	if d.Distance(p) != 0 || d.Mean != p.Mean {
+	d := p.DownsampleInto(New(32), 1)
+	if !slices.Equal(d.Bins, p.Bins) || d.Mean != p.Mean {
 		t.Fatal("factor-1 downsample should be identity")
 	}
 }
@@ -308,10 +341,10 @@ func TestDownsampleIdentityFactor1(t *testing.T) {
 func TestPanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { New(0) },
-		func() { White(0, 1, 8).Downsample(0) },
-		func() { White(0, 1, 8).Upsample(0) },
-		func() { White(0, 1, 8).AddUncorrelated(White(0, 1, 4)) },
-		func() { White(0, 1, 8).ApplyLTI(make([]complex128, 4)) },
+		func() { White(0, 1, 8).DownsampleInto(New(8), 0) },
+		func() { White(0, 1, 8).UpsampleInto(New(8), 0) },
+		func() { p := White(0, 1, 8); p.AddInPlace(White(0, 1, 4)) },
+		func() { p := White(0, 1, 8); p.ApplyLTIInPlace(make([]complex128, 4)) },
 		func() { White(0, 1, 8).Resample(0) },
 	} {
 		func() {
@@ -335,8 +368,12 @@ func TestQuickPowerNonNegative(t *testing.T) {
 			p.Bins[i] = rng.Float64()
 		}
 		f := filter.Filter{B: []float64{rng.NormFloat64(), rng.NormFloat64()}, A: []float64{1}}
-		out := p.ApplyLTI(f.Response(32)).Downsample(2).Upsample(2).Scale(rng.NormFloat64())
-		return out.Power() >= 0 && out.Variance() >= -1e-15
+		p.ApplyLTIInPlace(f.Response(32))
+		out := p.DownsampleInto(New(32), 2).UpsampleInto(New(32), 2)
+		g := rng.NormFloat64()
+		out.Mean *= g
+		ScaleInto(out.Bins, out.Bins, g*g)
+		return out.Mean*out.Mean+out.Variance() >= 0 && out.Variance() >= -1e-15
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -357,10 +394,15 @@ func TestDownsampleMatchesMonteCarlo(t *testing.T) {
 	for i := range y {
 		y[i] = st.Step(rng.NormFloat64())
 	}
-	dec := dsp.Downsample(y, 2)
+	dec := make([]float64, 0, len(y)/2)
+	for i := 0; i < len(y); i += 2 {
+		dec = append(dec, y[i])
+	}
 	nb := 64
 	est := MustEstimate(dec, EstimateOptions{Bins: nb, Window: dsp.Hann, Overlap: 0.5})
-	ana := White(0, 1, nb).ApplyLTI(f.Response(nb)).Downsample(2)
+	ana := White(0, 1, nb)
+	ana.ApplyLTIInPlace(f.Response(nb))
+	ana = ana.DownsampleInto(New(nb), 2)
 	if math.Abs(est.Variance()-ana.Variance()) > 0.05*ana.Variance() {
 		t.Fatalf("variance est %g vs analytic %g", est.Variance(), ana.Variance())
 	}
@@ -388,10 +430,15 @@ func TestUpsampleMatchesMonteCarlo(t *testing.T) {
 	for i := range y {
 		y[i] = st.Step(rng.NormFloat64())
 	}
-	up := dsp.Upsample(y, 2)
+	up := make([]float64, 2*len(y))
+	for i, v := range y {
+		up[2*i] = v
+	}
 	nb := 64
 	est := MustEstimate(up, EstimateOptions{Bins: nb, Window: dsp.Hann, Overlap: 0.5})
-	ana := White(0, 1, nb).ApplyLTI(f.Response(nb)).Upsample(2)
+	ana := White(0, 1, nb)
+	ana.ApplyLTIInPlace(f.Response(nb))
+	ana = ana.UpsampleInto(New(nb), 2)
 	if math.Abs(est.Variance()-ana.Variance()) > 0.05*ana.Variance() {
 		t.Fatalf("variance est %g vs analytic %g", est.Variance(), ana.Variance())
 	}
@@ -409,10 +456,13 @@ func BenchmarkApplyLTI1024(b *testing.B) {
 	f, _ := filter.DesignIIR(filter.IIRSpec{Kind: filter.Butterworth, Band: filter.Lowpass, Order: 6, F1: 0.2})
 	resp := f.Response(1024)
 	p := White(0.01, 1e-6, 1024)
+	q := New(1024)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = p.ApplyLTI(resp)
+		q.Mean = p.Mean
+		copy(q.Bins, p.Bins)
+		q.ApplyLTIInPlace(resp)
 	}
 }
 
@@ -426,26 +476,6 @@ func BenchmarkEstimateWelch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = MustEstimate(x, EstimateOptions{Bins: 1024, Window: dsp.Hann, Overlap: 0.5})
-	}
-}
-
-func TestRenderASCII(t *testing.T) {
-	var sb strings.Builder
-	p := White(0.1, 1, 64)
-	p.RenderASCII(&sb, 8, 40)
-	if !strings.Contains(sb.String(), "PSD (peak") {
-		t.Fatal("header missing")
-	}
-	sb.Reset()
-	New(4).RenderASCII(&sb, 8, 40)
-	if !strings.Contains(sb.String(), "all-zero") {
-		t.Fatal("zero spectrum not reported")
-	}
-	sb.Reset()
-	// Defaults kick in for non-positive arguments.
-	p.RenderASCII(&sb, 0, 0)
-	if sb.Len() == 0 {
-		t.Fatal("default rendering empty")
 	}
 }
 

@@ -187,8 +187,8 @@ func resampleAxis(s Spectrum, ax axisKind, factor int, down bool) Spectrum {
 	return out
 }
 
-// resampleLine is the 1-D per-bin power rule (see psd.PSD.Downsample /
-// Upsample for the derivations).
+// resampleLine is the 1-D per-bin power rule (see psd.PSD.DownsampleInto
+// and UpsampleInto for the derivations).
 func resampleLine(bins []float64, factor int, down bool) []float64 {
 	n := len(bins)
 	out := make([]float64, n)

@@ -118,20 +118,6 @@ func AveragePeriodogram2D(imgs []wavelet.Image) (Spectrum, error) {
 	return acc, nil
 }
 
-// Outer builds the separable 2-D spectrum rowBins (x) colBins^T scaled so
-// that Total() = rowVar * colVar ... more precisely each separable noise
-// contribution of a separable (row filter x column filter) system is the
-// outer product of its 1-D spectra.
-func Outer(rowBins, colBins []float64) Spectrum {
-	out := NewSpectrum(len(rowBins), len(colBins))
-	for i, rv := range rowBins {
-		for j, cv := range colBins {
-			out[i][j] = rv * cv
-		}
-	}
-	return out
-}
-
 // Centered returns the spectrum with DC moved to the center of the grid
 // (fftshift), the layout of the paper's Fig. 7.
 func (s Spectrum) Centered() Spectrum {

@@ -74,16 +74,6 @@ func TestRenderLogRange(t *testing.T) {
 	}
 }
 
-func TestOuter(t *testing.T) {
-	s := Outer([]float64{1, 2}, []float64{3, 4, 5})
-	if n, m := s.Dims(); n != 2 || m != 3 {
-		t.Fatalf("dims %dx%d", n, m)
-	}
-	if s[1][2] != 10 {
-		t.Fatalf("outer[1][2] = %g", s[1][2])
-	}
-}
-
 func TestDistanceErrors(t *testing.T) {
 	a := NewSpectrum(4, 4)
 	b := NewSpectrum(8, 8)

@@ -24,9 +24,6 @@ type Moments struct {
 	Variance float64
 }
 
-// Power returns the total noise power E[b^2] = mean^2 + variance.
-func (m Moments) Power() float64 { return m.Mean*m.Mean + m.Variance }
-
 // Continuous returns the PQN moments for quantizing a continuous-amplitude
 // signal to frac fractional bits (step q = 2^-frac):
 //
@@ -77,17 +74,6 @@ func Discrete(mode fixed.RoundMode, fracIn, fracOut int) Moments {
 	}
 }
 
-// SQNRUniform returns the idealized signal-to-quantization-noise ratio in dB
-// for a full-scale uniform signal in [-1, 1) quantized with rounding at
-// frac fractional bits: 10 log10( (1/3) / (q^2/12) ) = 6.02*frac + 6.02 dB... the
-// closed form is computed directly from the moments to avoid stale
-// constants.
-func SQNRUniform(frac int) float64 {
-	signal := 1.0 / 3.0 // variance of U[-1,1)
-	noise := Continuous(fixed.RoundNearest, frac).Power()
-	return 10 * math.Log10(signal/noise)
-}
-
 // Source describes one additive quantization-noise injection point in a
 // system: which rounding mode produced it and at what fractional width. It
 // is the unit the evaluators and the simulator agree on.
@@ -120,12 +106,4 @@ func (s Source) Moments() Moments {
 		return Discrete(s.Mode, s.FracIn, s.Frac)
 	}
 	return Continuous(s.Mode, s.Frac)
-}
-
-// Step returns the quantization step of the source.
-func (s Source) Step() float64 { return math.Ldexp(1, -s.Frac) }
-
-// String renders the source compactly.
-func (s Source) String() string {
-	return fmt.Sprintf("%s[%v,d=%d]", s.Name, s.Mode, s.Frac)
 }

@@ -43,9 +43,6 @@ type Config struct {
 	NPSD int
 	// Workers bounds concurrently running jobs; <= 0 selects GOMAXPROCS.
 	Workers int
-	// InnerWorkers is the per-job oracle pool width; <= 0 selects 1
-	// (job-level parallelism already saturates the machine).
-	InnerWorkers int
 	// ResultCacheSize bounds the content-addressed result cache;
 	// <= 0 selects 128.
 	ResultCacheSize int
@@ -107,9 +104,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.InnerWorkers <= 0 {
-		c.InnerWorkers = 1
 	}
 	if c.ResultCacheSize <= 0 {
 		c.ResultCacheSize = 128
@@ -306,7 +300,7 @@ func New(cfg Config) *Manager {
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
 		cfg:        cfg,
-		eng:        core.NewEngine(cfg.NPSD, cfg.InnerWorkers),
+		eng:        core.NewEngine(cfg.NPSD, 1),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		queue:      make(chan *job, cfg.QueueSize),
@@ -1027,24 +1021,6 @@ func (m *Manager) Get(id string) (*JobInfo, error) {
 		return nil, fmt.Errorf("%w: job %q", ErrNotFound, id)
 	}
 	return j.snapshot(), nil
-}
-
-// List snapshots every retained job in submission order.
-func (m *Manager) List() []*JobInfo {
-	m.mu.Lock()
-	ids := append([]string(nil), m.order...)
-	jobs := make([]*job, 0, len(ids))
-	for _, id := range ids {
-		if j, ok := m.jobs[id]; ok {
-			jobs = append(jobs, j)
-		}
-	}
-	m.mu.Unlock()
-	out := make([]*JobInfo, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.snapshot()
-	}
-	return out
 }
 
 // Pagination bounds for ListPage. A router fanning N backends into one

@@ -472,7 +472,11 @@ func TestJobHistoryEviction(t *testing.T) {
 		}
 		last = waitDone(t, m, info.ID)
 	}
-	if got := len(m.List()); got > 3 {
+	page, err := m.ListPage(ListQuery{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(page.Jobs); got > 3 {
 		t.Fatalf("history holds %d jobs, cap 3", got)
 	}
 	if _, err := m.Get(last.ID); err != nil {

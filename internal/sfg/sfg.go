@@ -235,9 +235,6 @@ func (g *Graph) SetNoise(id NodeID, src qnoise.Source) {
 	n.Noise = &s
 }
 
-// ClearNoise removes the node's noise source.
-func (g *Graph) ClearNoise(id NodeID) { g.mustNode(id).Noise = nil }
-
 // Node returns the node with the given ID.
 func (g *Graph) Node(id NodeID) *Node { return g.mustNode(id) }
 

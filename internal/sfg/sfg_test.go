@@ -173,10 +173,6 @@ func TestNoiseSources(t *testing.T) {
 	if g.Node(f).Noise.Name != "f" {
 		t.Fatalf("source name %q should default to node name", g.Node(f).Noise.Name)
 	}
-	g.ClearNoise(f)
-	if len(g.NoiseSources()) != 0 {
-		t.Fatal("ClearNoise failed")
-	}
 }
 
 func TestInputsOutputs(t *testing.T) {
@@ -326,88 +322,5 @@ func TestPanicsOnBadConstruction(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	g, _, f, _ := buildSimpleChain()
-	g.SetNoise(f, qnoise.Source{Mode: fixed.Truncate, Frac: 8})
-	c := g.Clone()
-	c.Node(f).Noise.Frac = 16
-	if g.Node(f).Noise.Frac != 8 {
-		t.Fatal("clone shares noise sources with original")
-	}
-	if len(c.Nodes()) != len(g.Nodes()) {
-		t.Fatal("clone node count mismatch")
-	}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestObserveAtIntermediateNode(t *testing.T) {
-	// in -> f1 -> f2 -> out, observe at f1: f2 and out must be pruned.
-	g := New()
-	in := g.Input("in")
-	f1 := g.Filter("f1", filter.NewFIR([]float64{0.5, 0.5}, ""))
-	f2 := g.Filter("f2", filter.NewFIR([]float64{1, -1}, ""))
-	out := g.Output("out")
-	g.Chain(in, f1, f2, out)
-	g.SetNoise(in, qnoise.Source{Mode: fixed.Truncate, Frac: 8})
-
-	obs, err := g.ObserveAt(f1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// in, f1, probe = 3 nodes; f2 and original out pruned.
-	if len(obs.Nodes()) != 3 {
-		t.Fatalf("observed graph has %d nodes, want 3", len(obs.Nodes()))
-	}
-	if len(obs.NoiseSources()) != 1 {
-		t.Fatal("noise source lost in observation subgraph")
-	}
-}
-
-func TestObserveAtOutputIsClone(t *testing.T) {
-	g, _, _, out := buildSimpleChain()
-	obs, err := g.ObserveAt(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(obs.Nodes()) != len(g.Nodes()) {
-		t.Fatal("observing the output should be a plain clone")
-	}
-}
-
-func TestObserveAtDegradesAdder(t *testing.T) {
-	// Adder with two inputs, one of which does not feed the target: after
-	// pruning it must degrade to a pass-through.
-	g := New()
-	inA := g.Input("a")
-	inB := g.Input("b")
-	ad := g.Adder("sum")
-	f := g.Filter("f", filter.NewFIR([]float64{1}, ""))
-	out := g.Output("out")
-	g.Connect(inA, ad)
-	g.Connect(inB, ad)
-	g.Connect(ad, f)
-	g.Connect(f, out)
-	// Observe at inA: nothing downstream of it except... inA itself.
-	obs, err := g.ObserveAt(inA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(obs.Nodes()) != 2 {
-		t.Fatalf("expected just input+probe, got %d nodes", len(obs.Nodes()))
-	}
-}
-
-func TestObserveAtBadID(t *testing.T) {
-	g, _, _, _ := buildSimpleChain()
-	if _, err := g.ObserveAt(NodeID(99)); err == nil {
-		t.Fatal("unknown node should fail")
 	}
 }

@@ -58,9 +58,6 @@ func (g *Graph) Snapshot() (*Snapshot, error) {
 	return s, nil
 }
 
-// Graph returns the graph this snapshot was taken from.
-func (s *Snapshot) Graph() *Graph { return s.graph }
-
 // Len returns the number of nodes.
 func (s *Snapshot) Len() int { return len(s.nodes) }
 

@@ -166,6 +166,25 @@ type Options struct {
 // allocate about 7 MB.
 const MaxAnnealRounds = 100000
 
+// Size limits on a spec, checked before any filter is designed. Each bounds
+// work that grows linearly with the field and that a small body could
+// otherwise request without limit. At each limit, parsing, building and
+// first evaluating a one-block spec at N_PSD 1,024 took, on one core of an
+// Intel Xeon at 2.1 GHz:
+//
+//   - MaxFilterTaps, for FIR taps and the lengths of explicit b and a:
+//     20 ms for a 4,095-tap FIR. It is odd, so a highpass or bandstop
+//     design, which rounds an even tap count up by one, stays within it
+//     too, and every accepted spec exports through FromGraph.
+//   - MaxIIROrder, for IIR order: 0.2 ms at order 32.
+//   - MaxRateFactor, for down and up factors: 1.8 ms for a factor-64
+//     downsampler.
+const (
+	MaxFilterTaps = 4095
+	MaxIIROrder   = 32
+	MaxRateFactor = 64
+)
+
 // IsZero reports whether no option field is set. DeadlineMS is ignored:
 // a request carrying only a deadline still defers to the spec's embedded
 // options for what to compute.
@@ -407,6 +426,9 @@ func (n *NodeSpec) validateKind() error {
 		if *n.Factor < 1 {
 			return fmt.Errorf("factor %d < 1", *n.Factor)
 		}
+		if *n.Factor > MaxRateFactor {
+			return fmt.Errorf("factor %d above the maximum %d", *n.Factor, MaxRateFactor)
+		}
 	case "filter":
 		if err := n.Filter.validate(); err != nil {
 			return err
@@ -434,6 +456,15 @@ func (f *FilterSpec) validate() error {
 	}
 	if len(f.B) > 0 && len(f.A) > 0 && f.A[0] == 0 {
 		return fmt.Errorf("filter a[0] must be nonzero")
+	}
+	if len(f.B) > MaxFilterTaps || len(f.A) > MaxFilterTaps {
+		return fmt.Errorf("filter b and a lengths %d and %d, above the maximum %d", len(f.B), len(f.A), MaxFilterTaps)
+	}
+	if f.FIR != nil && f.FIR.Taps > MaxFilterTaps {
+		return fmt.Errorf("fir taps %d above the maximum %d", f.FIR.Taps, MaxFilterTaps)
+	}
+	if f.IIR != nil && f.IIR.Order > MaxIIROrder {
+		return fmt.Errorf("iir order %d above the maximum %d", f.IIR.Order, MaxIIROrder)
 	}
 	// Designs must resolve; report their errors at parse time, not build
 	// time.

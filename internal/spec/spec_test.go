@@ -1,9 +1,11 @@
 package spec
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -325,5 +327,72 @@ func TestAnnealRoundsBound(t *testing.T) {
 	o.AnnealRounds++
 	if err := o.Validate(); err == nil || !strings.Contains(err.Error(), "anneal_rounds") {
 		t.Fatalf("anneal_rounds %d: error %v, want one naming the field", o.AnnealRounds, err)
+	}
+}
+
+// TestSpecSizeLimits: a spec at each size limit parses, builds and exports
+// through FromGraph, one past it is rejected naming the field and the node,
+// and an oversized FIR is rejected before it is designed.
+func TestSpecSizeLimits(t *testing.T) {
+	chain := func(node string) []byte {
+		return []byte(`{"nodes":[{"name":"in","kind":"input","noise":{"frac":8}},` + node +
+			`,{"name":"out","kind":"output"}],"edges":[["in","x"],["x","out"]]}`)
+	}
+	coeffs := func(n int) string {
+		c := make([]string, n)
+		for i := range c {
+			c[i] = "0"
+		}
+		c[0] = "1"
+		return "[" + strings.Join(c, ",") + "]"
+	}
+	filterNode := func(f string) string { return `{"name":"x","kind":"filter","filter":` + f + `}` }
+	fir := func(band string) func(int) string {
+		return func(taps int) string {
+			return filterNode(fmt.Sprintf(`{"fir":{"band":%q,"taps":%d,"f1":0.2,"f2":0.3,"window":"hamming"}}`, band, taps))
+		}
+	}
+	for _, c := range []struct {
+		field string
+		node  func(int) string
+		limit int
+	}{
+		{"fir taps", fir("lowpass"), MaxFilterTaps},
+		{"fir taps", fir("bandstop"), MaxFilterTaps},
+		{"b and a lengths", func(n int) string { return filterNode(`{"b":` + coeffs(n) + `}`) }, MaxFilterTaps},
+		{"b and a lengths", func(n int) string { return filterNode(`{"b":[1],"a":` + coeffs(n) + `}`) }, MaxFilterTaps},
+		{"iir order", func(n int) string {
+			return filterNode(fmt.Sprintf(`{"iir":{"kind":"butterworth","band":"lowpass","order":%d,"f1":0.2}}`, n))
+		}, MaxIIROrder},
+		{"factor", func(n int) string { return fmt.Sprintf(`{"name":"x","kind":"down","factor":%d}`, n) }, MaxRateFactor},
+		{"factor", func(n int) string { return fmt.Sprintf(`{"name":"x","kind":"up","factor":%d}`, n) }, MaxRateFactor},
+	} {
+		sp, err := Parse(chain(c.node(c.limit)))
+		if err != nil {
+			t.Fatalf("%s at the limit %d rejected: %v", c.field, c.limit, err)
+		}
+		g, err := sp.Build()
+		if err != nil {
+			t.Fatalf("%s at the limit %d: build: %v", c.field, c.limit, err)
+		}
+		if _, err := FromGraph(g, "limit"); err != nil {
+			t.Fatalf("%s at the limit %d: export: %v", c.field, c.limit, err)
+		}
+		_, err = Parse(chain(c.node(c.limit + 1)))
+		if err == nil || !strings.Contains(err.Error(), c.field) || !strings.Contains(err.Error(), `nodes[1] ("x")`) {
+			t.Fatalf("%s one past the limit: error %v, want one naming the field and the node", c.field, err)
+		}
+	}
+
+	doc := chain(fir("lowpass")(1 << 22))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Parse(doc)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("taps 2^22 accepted")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("rejecting taps 2^22 allocated %d bytes, want under 1 MB", alloc)
 	}
 }

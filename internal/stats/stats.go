@@ -4,7 +4,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -35,19 +34,6 @@ func Variance(x []float64) float64 {
 	return s / float64(len(x))
 }
 
-// MeanSquare returns E[x^2] = (1/N) sum x^2, the quantity the paper calls
-// error power.
-func MeanSquare(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return s / float64(len(x))
-}
-
 // Ed computes the paper's MSE deviation metric (Eq. 15):
 //
 //	Ed = (E[err_sim^2] - E[err_est^2]) / E[err_sim^2]
@@ -73,17 +59,6 @@ func EdSE(simPower, simSE, estPower float64) float64 {
 // 4x power ratio between successive fractional word-lengths.
 func SubOneBit(ed float64) bool {
 	return ed > -3.0 && ed < 0.75
-}
-
-// EquivalentBits converts an Ed fraction into the word-length error it
-// corresponds to: |log4(1-Ed)| bits (a 1-bit change scales noise power by 4).
-// NaN inputs propagate.
-func EquivalentBits(ed float64) float64 {
-	r := 1 - ed
-	if r <= 0 {
-		return math.Inf(1)
-	}
-	return math.Abs(math.Log(r) / math.Log(4))
 }
 
 // Running accumulates mean and variance incrementally using Welford's
@@ -126,22 +101,6 @@ func (r *Running) Variance() float64 {
 // MeanSquare returns the running E[x^2] = mean^2 + variance.
 func (r *Running) MeanSquare() float64 {
 	return r.mean*r.mean + r.Variance()
-}
-
-// Merge folds another accumulator into r (parallel Welford combination).
-func (r *Running) Merge(o Running) {
-	if o.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = o
-		return
-	}
-	n := r.n + o.n
-	d := o.mean - r.mean
-	r.m2 += o.m2 + d*d*float64(r.n)*float64(o.n)/float64(n)
-	r.mean += d * float64(o.n) / float64(n)
-	r.n = n
 }
 
 // Summary holds order statistics of a batch of scalar results, used for the
@@ -209,12 +168,6 @@ func quantileSorted(sorted []float64, p float64) float64 {
 		return sorted[lo]
 	}
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
-
-// String renders a Summary as a compact single line with percentages.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d min=%.4g%% max=%.4g%% mean|.|=%.4g%%",
-		s.N, 100*s.Min, 100*s.Max, 100*s.MeanAbs)
 }
 
 // DB converts a power ratio to decibels; zero or negative ratios map to -Inf.

@@ -7,6 +7,19 @@ import (
 	"testing/quick"
 )
 
+// MeanSquare returns E[x^2] = (1/N) sum x^2, the reference that Running's
+// MeanSquare is checked against.
+func MeanSquare(x []float64) float64 {
+	if len(x) == 0 {
+		return 0
+	}
+	var s float64
+	for _, v := range x {
+		s += v * v
+	}
+	return s / float64(len(x))
+}
+
 func TestMeanVariance(t *testing.T) {
 	x := []float64{1, 2, 3, 4}
 	if Mean(x) != 2.5 {
@@ -79,24 +92,6 @@ func TestSubOneBitBand(t *testing.T) {
 	}
 }
 
-func TestEquivalentBits(t *testing.T) {
-	// Ed = 0 -> exact -> 0 bits.
-	if EquivalentBits(0) != 0 {
-		t.Fatal("exact estimate should be 0 bits")
-	}
-	// est = 4*sim -> Ed = -3 -> exactly 1 bit.
-	if got := EquivalentBits(-3); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("EquivalentBits(-3) = %g, want 1", got)
-	}
-	// est = sim/4 -> Ed = 0.75 -> 1 bit.
-	if got := EquivalentBits(0.75); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("EquivalentBits(0.75) = %g, want 1", got)
-	}
-	if !math.IsInf(EquivalentBits(1.5), 1) {
-		t.Fatal("Ed >= 1 (zero/negative est) should be +Inf bits")
-	}
-}
-
 func TestRunningMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	x := make([]float64, 10000)
@@ -116,27 +111,6 @@ func TestRunningMatchesBatch(t *testing.T) {
 	}
 	if r.N() != 10000 {
 		t.Fatalf("N = %d", r.N())
-	}
-}
-
-func TestRunningMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	x := make([]float64, 5000)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	var whole, a, b Running
-	whole.AddSlice(x)
-	a.AddSlice(x[:1234])
-	b.AddSlice(x[1234:])
-	a.Merge(b)
-	if math.Abs(a.Mean()-whole.Mean()) > 1e-10 || math.Abs(a.Variance()-whole.Variance()) > 1e-9 {
-		t.Fatalf("merge mismatch: %g/%g vs %g/%g", a.Mean(), a.Variance(), whole.Mean(), whole.Variance())
-	}
-	var empty Running
-	empty.Merge(a)
-	if empty.N() != a.N() || empty.Mean() != a.Mean() {
-		t.Fatal("merge into empty should copy")
 	}
 }
 

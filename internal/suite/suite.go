@@ -51,9 +51,6 @@ type Config struct {
 	// runtime.GOMAXPROCS(0). Cell results are identical for every pool
 	// width — only wall-clock time changes.
 	Workers int
-	// InnerWorkers is the per-cell oracle pool width; <= 0 selects 1
-	// (cell-level parallelism already saturates the machine).
-	InnerWorkers int
 	// Seed seeds the randomized strategies.
 	Seed int64
 	// Short shrinks the sweep to one budget per pair at reduced scale —
@@ -89,9 +86,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.InnerWorkers <= 0 {
-		c.InnerWorkers = 1
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -166,7 +160,6 @@ type Report struct {
 	MaxFrac      int      `json:"max_frac"`
 	BudgetWidths []int    `json:"budget_widths"`
 	Workers      int      `json:"workers"`
-	InnerWorkers int      `json:"inner_workers"`
 	Seed         int64    `json:"seed"`
 	Short        bool     `json:"short"`
 	Systems      []string `json:"systems"`
@@ -219,7 +212,6 @@ func Run(cfg Config) (*Report, error) {
 		MaxFrac:      cfg.MaxFrac,
 		BudgetWidths: cfg.BudgetWidths,
 		Workers:      cfg.Workers,
-		InnerWorkers: cfg.InnerWorkers,
 		Seed:         cfg.Seed,
 		Short:        cfg.Short,
 		Strategies:   cfg.Strategies,
@@ -295,7 +287,7 @@ func runCell(sys systems.System, strategy string, budgetWidth int, budget float6
 		cell.Err = err.Error()
 		return cell
 	}
-	eng := core.NewEngine(cfg.NPSD, cfg.InnerWorkers)
+	eng := core.NewEngine(cfg.NPSD, 1)
 	optStart := time.Now()
 	res, err := wlopt.RunStrategy(g, strategy, wlopt.Options{
 		Budget:    budget,

@@ -1,8 +1,6 @@
 package systems
 
 import (
-	"fmt"
-
 	"repro/internal/filter"
 	"repro/internal/fxsim"
 	"repro/internal/qnoise"
@@ -49,13 +47,4 @@ func (s *SingleFilter) Simulate(d int, cfg SimConfig) (*fxsim.Outcome, error) {
 		return nil, err
 	}
 	return graphSimulate(s, d, cfg)
-}
-
-// FilterBankSystems wraps every filter of a bank as a SingleFilter system.
-func FilterBankSystems(bank []filter.Filter, prefix string) []*SingleFilter {
-	out := make([]*SingleFilter, len(bank))
-	for i, f := range bank {
-		out[i] = &SingleFilter{Filt: f, Label: fmt.Sprintf("%s[%03d] %s", prefix, i, f.String())}
-	}
-	return out
 }

@@ -67,9 +67,6 @@ func (s *SpecSystem) Name() string {
 	return "spec:invalid"
 }
 
-// Spec returns the underlying spec.
-func (s *SpecSystem) Spec() *spec.Spec { return s.sp }
-
 // Graph implements System: the spec's graph with every PQN-modeled source
 // at d fractional bits. Sources with moment overrides keep their fixed
 // moments — their statistics are not a function of the assignment, exactly

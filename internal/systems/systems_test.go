@@ -46,20 +46,6 @@ func TestSingleFilterRejectsBadD(t *testing.T) {
 	}
 }
 
-func TestFilterBankSystemsLabels(t *testing.T) {
-	bank, err := filter.BuildFIRBank(filter.DefaultFIRBank())
-	if err != nil {
-		t.Fatal(err)
-	}
-	syss := FilterBankSystems(bank[:5], "fir")
-	if len(syss) != 5 {
-		t.Fatalf("count %d", len(syss))
-	}
-	if syss[0].Name() == syss[1].Name() {
-		t.Fatal("labels must be unique")
-	}
-}
-
 func TestFreqFilterAnalyticMatchesRealOverlapSave(t *testing.T) {
 	// The central Fig. 2 check: the analytical PSD estimate (with derived
 	// FFT-domain sources) must land near the genuine overlap-save

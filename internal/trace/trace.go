@@ -346,14 +346,6 @@ type Span struct {
 // Attr is one key/value annotation on a span.
 type Attr struct{ K, V string }
 
-// ID returns the span's process-unique ID (0 on nil).
-func (s *Span) ID() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.id
-}
-
 // Trace returns the owning trace (nil on a nil span).
 func (s *Span) Trace() *Trace {
 	if s == nil {

@@ -71,7 +71,7 @@ func TestNilSpanAndTraceAreNoOps(t *testing.T) {
 	sp.SetAttr("k", "v")
 	sp.End()
 	sp.End()
-	if sp.ID() != 0 || sp.Trace() != nil {
+	if sp.Trace() != nil {
 		t.Error("nil span has identity")
 	}
 	ctx := With(context.Background(), sp)
@@ -153,8 +153,8 @@ func TestHeaderRoundTrip(t *testing.T) {
 	h := http.Header{}
 	Inject(With(context.Background(), sp), h)
 	id, parent, ok := Extract(h)
-	if !ok || id != tr.ID() || parent != sp.ID() {
-		t.Fatalf("Extract = (%q, %x, %v), want (%q, %x, true)", id, parent, ok, tr.ID(), sp.ID())
+	if !ok || id != tr.ID() || parent != sp.id {
+		t.Fatalf("Extract = (%q, %x, %v), want (%q, %x, true)", id, parent, ok, tr.ID(), sp.id)
 	}
 
 	// Receiver side: join and parent under the remote span.
@@ -166,7 +166,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 	if in.TraceID != tr.ID() {
 		t.Errorf("remote trace ID = %q, want %q", in.TraceID, tr.ID())
 	}
-	if in.Spans[0].Parent != fmt.Sprintf("%016x", sp.ID()) {
+	if in.Spans[0].Parent != fmt.Sprintf("%016x", sp.id) {
 		t.Errorf("remote parent = %q", in.Spans[0].Parent)
 	}
 
@@ -198,7 +198,7 @@ func TestMergeStitchesAcrossProcesses(t *testing.T) {
 	// Backend half joins via the header and parents under the proxy span.
 	brec := NewRecorder(RecorderConfig{})
 	btr := brec.StartTrace(rtr.ID())
-	httpSp := btr.StartSpanRemote("http.submit", proxy.ID())
+	httpSp := btr.StartSpanRemote("http.submit", proxy.id)
 	job := btr.StartSpan("job", httpSp)
 	job.End()
 	httpSp.End()

@@ -1,9 +1,9 @@
 // Package wavelet implements the Daubechies (CDF) 9/7 biorthogonal wavelet
 // substrate behind the paper's third benchmark (Fig. 3): the JPEG-2000
-// irreversible filter bank, 1-D and separable 2-D transforms with periodic
-// extension and exact perfect reconstruction, multi-level decomposition,
-// fixed-point variants with block-boundary quantization, and construction
-// of the 2-level coder/decoder signal-flow graph used by the analytical
+// irreversible filter bank, one-level 1-D and multi-level separable 2-D
+// transforms with periodic extension and exact perfect reconstruction,
+// block-boundary quantization of the 2-D transforms, and construction of
+// the 2-level coder/decoder signal-flow graph used by the analytical
 // evaluators and the Monte-Carlo simulator.
 package wavelet
 
@@ -16,7 +16,7 @@ import (
 // Bank holds a two-channel biorthogonal filter bank: analysis low/high
 // (H0, H1) and synthesis low/high (G0, G1) taps, plus the circular
 // alignment that makes the periodic transform perfectly reconstructing.
-// Use the constructors (CDF97, Haar, CDF53) or Resolve for custom taps.
+// Use the CDF97 constructor; a Bank literal carries no alignment.
 type Bank struct {
 	H0, H1, G0, G1 []float64
 
@@ -24,27 +24,18 @@ type Bank struct {
 	resolved bool
 }
 
-// Resolve searches for a circular perfect-reconstruction alignment of the
-// bank's taps and returns the bank with it installed. Custom banks must be
-// resolved before use; the built-in constructors return resolved banks.
-func (b Bank) Resolve() (Bank, error) {
-	if b.resolved {
-		return b, nil
-	}
-	off, ok := findPROffsets(b, 32)
-	if !ok {
-		return b, fmt.Errorf("wavelet: filter bank is not perfectly reconstructing under any circular alignment")
-	}
-	b.off = off
-	b.resolved = true
-	return b, nil
+// prOffsets holds the circular alignment of a bank: the analysis filter
+// offsets, the decimation phases of the two subbands, and the synthesis
+// filter offsets.
+type prOffsets struct {
+	offH0, offH1, phA, phD, offG0, offG1 int
 }
 
-// mustResolved panics with a helpful message for unresolved banks; the
-// exported entry points call it once per operation.
+// mustResolved panics with a helpful message for banks built without an
+// alignment; the exported entry points call it once per operation.
 func (b Bank) mustResolved() {
 	if !b.resolved {
-		panic("wavelet: bank offsets unresolved; use CDF97()/Haar()/CDF53() or Resolve()")
+		panic("wavelet: bank offsets unresolved; use CDF97()")
 	}
 }
 
@@ -137,62 +128,16 @@ func (b Bank) SynthesizeOnce(approx, detail []float64) ([]float64, error) {
 	return out, nil
 }
 
-// Decomposition is a multi-level 1-D DWT: Details[l] holds the detail band
-// of level l+1 (finest first) and Approx the coarsest approximation.
-type Decomposition struct {
-	Details [][]float64
-	Approx  []float64
-}
-
-// Analyze performs a levels-deep periodic decomposition. The signal length
-// must be divisible by 2^levels.
-func (b Bank) Analyze(x []float64, levels int) (*Decomposition, error) {
-	if levels < 1 {
-		return nil, fmt.Errorf("wavelet: levels %d < 1", levels)
-	}
-	if len(x)%(1<<uint(levels)) != 0 {
-		return nil, fmt.Errorf("wavelet: length %d not divisible by 2^%d", len(x), levels)
-	}
-	dec := &Decomposition{}
-	cur := append([]float64(nil), x...)
-	for l := 0; l < levels; l++ {
-		a, d, err := b.AnalyzeOnce(cur)
-		if err != nil {
-			return nil, err
-		}
-		dec.Details = append(dec.Details, d)
-		cur = a
-	}
-	dec.Approx = cur
-	return dec, nil
-}
-
-// Synthesize inverts Analyze.
-func (b Bank) Synthesize(dec *Decomposition) ([]float64, error) {
-	if dec == nil || len(dec.Details) == 0 {
-		return nil, fmt.Errorf("wavelet: empty decomposition")
-	}
-	cur := append([]float64(nil), dec.Approx...)
-	for l := len(dec.Details) - 1; l >= 0; l-- {
-		out, err := b.SynthesizeOnce(cur, dec.Details[l])
-		if err != nil {
-			return nil, err
-		}
-		cur = out
-	}
-	return cur, nil
-}
-
 // Quantizers configures the fixed-point variants: one quantizer applied at
 // every analysis subband output and one at every synthesis filter output
 // (the paper's block-boundary noise model for Fig. 3). Either may be nil to
 // disable quantization at that stage.
 type Quantizers struct {
-	Analysis  fixed.PointQuantizer
-	Synthesis fixed.PointQuantizer
+	Analysis  *fixed.Quantizer
+	Synthesis *fixed.Quantizer
 }
 
-func applyQ(q fixed.PointQuantizer, x []float64) []float64 {
+func applyQ(q *fixed.Quantizer, x []float64) []float64 {
 	if q == nil {
 		return x
 	}
@@ -201,56 +146,4 @@ func applyQ(q fixed.PointQuantizer, x []float64) []float64 {
 		out[i] = q.Apply(v)
 	}
 	return out
-}
-
-// AnalyzeQ is Analyze with subband quantization after every level.
-func (b Bank) AnalyzeQ(x []float64, levels int, q Quantizers) (*Decomposition, error) {
-	if levels < 1 {
-		return nil, fmt.Errorf("wavelet: levels %d < 1", levels)
-	}
-	if len(x)%(1<<uint(levels)) != 0 {
-		return nil, fmt.Errorf("wavelet: length %d not divisible by 2^%d", len(x), levels)
-	}
-	dec := &Decomposition{}
-	cur := append([]float64(nil), x...)
-	for l := 0; l < levels; l++ {
-		a, d, err := b.AnalyzeOnce(cur)
-		if err != nil {
-			return nil, err
-		}
-		dec.Details = append(dec.Details, applyQ(q.Analysis, d))
-		cur = applyQ(q.Analysis, a)
-	}
-	dec.Approx = cur
-	return dec, nil
-}
-
-// SynthesizeQ is Synthesize with each synthesis branch quantized before the
-// reconstruction adder.
-func (b Bank) SynthesizeQ(dec *Decomposition, q Quantizers) ([]float64, error) {
-	if dec == nil || len(dec.Details) == 0 {
-		return nil, fmt.Errorf("wavelet: empty decomposition")
-	}
-	cur := append([]float64(nil), dec.Approx...)
-	for l := len(dec.Details) - 1; l >= 0; l-- {
-		d := dec.Details[l]
-		if len(cur) != len(d) {
-			return nil, fmt.Errorf("wavelet: subband lengths %d and %d differ", len(cur), len(d))
-		}
-		n := 2 * len(cur)
-		ua := make([]float64, n)
-		ud := make([]float64, n)
-		for i := 0; i < len(cur); i++ {
-			ua[(2*i+b.off.phA)%n] = cur[i]
-			ud[(2*i+b.off.phD)%n] = d[i]
-		}
-		ya := applyQ(q.Synthesis, cconv(ua, b.G0, b.off.offG0))
-		yd := applyQ(q.Synthesis, cconv(ud, b.G1, b.off.offG1))
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = ya[i] + yd[i]
-		}
-		cur = applyQ(q.Synthesis, out)
-	}
-	return cur, nil
 }

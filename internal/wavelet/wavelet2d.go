@@ -33,23 +33,14 @@ func (im Image) Dims() (int, int) {
 	return len(im), len(im[0])
 }
 
-// Analyze2D performs a levels-deep separable 2-D DWT with the quadrant
+// Analyze2DQ performs a levels-deep separable 2-D DWT with the quadrant
 // layout of JPEG-2000: after each level the working region's rows are
 // transformed first, then its columns (the paper's encoder order), leaving
 // LL in the top-left quadrant for the next level. Both dimensions must be
 // divisible by 2^levels. The result replaces the image contents; the input
-// is not modified.
-func (b Bank) Analyze2D(img Image, levels int) (Image, error) {
-	return b.analyze2D(img, levels, Quantizers{})
-}
-
-// Analyze2DQ is Analyze2D with quantization after every directional filter
-// pass (the fixed-point encoder).
+// is not modified. q quantizes after every directional filter pass (the
+// fixed-point encoder); zero Quantizers give the exact transform.
 func (b Bank) Analyze2DQ(img Image, levels int, q Quantizers) (Image, error) {
-	return b.analyze2D(img, levels, q)
-}
-
-func (b Bank) analyze2D(img Image, levels int, q Quantizers) (Image, error) {
 	rows, cols := img.Dims()
 	if rows == 0 || cols == 0 {
 		return nil, fmt.Errorf("wavelet: empty image")
@@ -95,18 +86,10 @@ func (b Bank) analyze2D(img Image, levels int, q Quantizers) (Image, error) {
 	return out, nil
 }
 
-// Synthesize2D inverts Analyze2D.
-func (b Bank) Synthesize2D(coeffs Image, levels int) (Image, error) {
-	return b.synthesize2D(coeffs, levels, Quantizers{})
-}
-
-// Synthesize2DQ is Synthesize2D with quantization after every directional
-// filter pass (the fixed-point decoder).
+// Synthesize2DQ inverts Analyze2DQ, quantizing after every directional
+// filter pass (the fixed-point decoder); zero Quantizers give the exact
+// inverse.
 func (b Bank) Synthesize2DQ(coeffs Image, levels int, q Quantizers) (Image, error) {
-	return b.synthesize2D(coeffs, levels, q)
-}
-
-func (b Bank) synthesize2D(coeffs Image, levels int, q Quantizers) (Image, error) {
 	rows, cols := coeffs.Dims()
 	if rows == 0 || cols == 0 {
 		return nil, fmt.Errorf("wavelet: empty coefficient image")
