@@ -1,7 +1,9 @@
 // Package repro's root benchmarks regenerate every table and figure of the
 // paper's evaluation section as testing.B targets, plus ablation benches
-// for the design choices called out in DESIGN.md and the word-length
-// optimizer's parallel-oracle scaling bench. Run:
+// for two of the evaluator's design choices (evaluation time linear in
+// N_PSD, and coherent recombination of path responses rather than
+// power-domain propagation) and the word-length optimizer's
+// parallel-oracle scaling bench. Run:
 //
 //	go test -bench=. -benchmem
 //

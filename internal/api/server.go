@@ -1,7 +1,6 @@
 package api
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -48,6 +47,7 @@ type Server struct {
 	mgr   *service.Manager
 	cfg   ServerConfig
 	met   *ServerMetrics
+	memo  *SpecMemo
 	start time.Time
 
 	statsMu sync.Mutex
@@ -67,6 +67,7 @@ func NewServer(mgr *service.Manager, cfg ServerConfig) *Server {
 		cfg.Metrics = NewServerMetrics(nil)
 	}
 	s := &Server{mgr: mgr, cfg: cfg, met: cfg.Metrics, start: time.Now()}
+	s.memo = NewSpecMemo(s.met.Registry(), "wlopt")
 	s.met.bindStats(s.cachedStats)
 	RegisterBuildInfo(s.met.Registry(), cfg.Version)
 	return s
@@ -201,7 +202,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fmt.Errorf("%w: %v", service.ErrBadRequest, err))
 		return
 	}
-	req, err := ParseSubmitBody(body)
+	req, err := s.memo.ParseSubmitBody(body)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -249,31 +250,6 @@ func (s *Server) jobTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, ti)
-}
-
-// ParseSubmitBody decodes a POST /v1/jobs body: a service.Request
-// envelope (strict — a typoed field inside {"spec": ...} is rejected,
-// exactly like the same document POSTed raw through spec.Parse; silently
-// dropping an unknown field would optimize a different problem than the
-// client wrote), or, as a convenience, a raw spec document with its
-// embedded options (as produced by spec.Marshal, e.g.
-// curl -d @examples/specs/comb-notch.json). The router reuses it to
-// resolve the shard digest before forwarding.
-func ParseSubmitBody(body []byte) (service.Request, error) {
-	var req service.Request
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil || (req.System == "" && req.Spec == nil) {
-		sp, perr := spec.Parse(body)
-		if perr != nil {
-			if err == nil {
-				err = fmt.Errorf("request has neither system nor spec")
-			}
-			return req, fmt.Errorf("%w: %v (as raw spec: %w)", service.ErrBadSpec, err, perr)
-		}
-		req = service.Request{Spec: sp}
-	}
-	return req, nil
 }
 
 // ApplyDeadlineHeader folds an X-Wlopt-Deadline header (absolute unix

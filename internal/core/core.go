@@ -187,7 +187,7 @@ func (e *AgnosticEvaluator) Evaluate(g *sfg.Graph) (*Result, error) {
 				// zero-stuffing time structure propagates gain 1. (The
 				// time-averaged power actually dilutes by 1/L — but seeing
 				// that requires exactly the temporal/spectral information
-				// the PSD-agnostic method discards; see DESIGN.md.)
+				// the PSD-agnostic method discards.)
 			default:
 				return nil, fmt.Errorf("core: agnostic cannot propagate through %v", n.Kind)
 			}

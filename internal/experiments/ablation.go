@@ -13,8 +13,8 @@ import (
 	"repro/internal/systems"
 )
 
-// AblationResult collects the two design-choice studies DESIGN.md calls
-// out: the linear-complexity claim for tau_eval and the value of coherent
+// AblationResult collects two studies of the evaluator's design choices:
+// the linear-complexity claim for tau_eval and the value of coherent
 // (complex path response) recombination over power-domain propagation.
 type AblationResult struct {
 	// Scaling holds per-N_PSD evaluation times on the DWT graph.

@@ -1,10 +1,10 @@
 // Package imagegen generates the synthetic grayscale image corpus that
-// substitutes the USC-SIPI / RPI-CIPR / Brodatz databases of the paper's
-// DWT experiments (see DESIGN.md, substitution 2): 1/f^alpha Gaussian
-// random fields matching the aggregate spectral statistics of natural
-// images, plus deterministic structures (gratings, checkerboards,
-// gradients) and mixtures. It also writes binary PGM for the Fig. 7
-// outputs.
+// stands in for the USC-SIPI / RPI-CIPR / Brodatz databases of the paper's
+// DWT experiments, which are not distributed with this repository:
+// 1/f^alpha Gaussian random fields matching the aggregate spectral
+// statistics of natural images, plus deterministic structures (gratings,
+// checkerboards, gradients) and mixtures. It also writes binary PGM for
+// the Fig. 7 outputs.
 package imagegen
 
 import (

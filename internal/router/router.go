@@ -73,6 +73,7 @@ type Router struct {
 	pool  *Pool
 	reg   *metrics.Registry
 	jobs  *jobMap
+	memo  *api.SpecMemo
 	start time.Time
 }
 
@@ -101,6 +102,7 @@ func New(cfg Config) *Router {
 		cfg:   cfg,
 		reg:   cfg.Registry,
 		jobs:  newJobMap(jobMapSize),
+		memo:  api.NewSpecMemo(cfg.Registry, "wloptr"),
 		start: time.Now(),
 	}
 	api.RegisterBuildInfo(rt.reg, cfg.Version)
@@ -174,6 +176,9 @@ func ShardKey(req service.Request) (string, error) {
 	if req.System != "" {
 		return "system:" + req.System, nil
 	}
+	if req.Parsed != nil {
+		return req.Parsed.Digest(), nil
+	}
 	d, err := req.Spec.Digest()
 	if err != nil {
 		return "", fmt.Errorf("%w: %v", service.ErrBadSpec, err)
@@ -189,7 +194,7 @@ func (rt *Router) submit(w http.ResponseWriter, r *http.Request) {
 	}
 	// Parse before proxying: a bad spec is rejected at the edge with full
 	// line/col detail, and a good one yields the shard key.
-	req, err := api.ParseSubmitBody(body)
+	req, err := rt.memo.ParseSubmitBody(body)
 	if err != nil {
 		writeErr(w, err)
 		return

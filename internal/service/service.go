@@ -127,6 +127,12 @@ type Request struct {
 	System  string       `json:"system,omitempty"`
 	Spec    *spec.Spec   `json:"spec,omitempty"`
 	Options spec.Options `json:"options"`
+	// Parsed is an inline spec already validated and digested, set in
+	// place of Spec: the API layer's spec memo hands the same one to every
+	// submission of the same bytes, so the job neither validates nor
+	// digests it again, and shares it read-only with every other such job.
+	// It never travels on the wire.
+	Parsed *spec.Digested `json:"-"`
 }
 
 // Sentinel errors, distinguished so the HTTP layer can map them to status
@@ -609,21 +615,25 @@ func (m *Manager) registerLocked(j *job) {
 }
 
 // resolve turns a Request into (system name, spec, defaulted options,
-// digest). Inline specs are validated once, by the Digest computation;
-// registry systems reuse a memoized spec + digest, so warm submissions by
-// name never rebuild a graph.
+// digest). Inline specs are validated once, by the Digest computation, or
+// not at all when they arrive Parsed; registry systems reuse a memoized
+// spec + digest, so warm submissions by name never rebuild a graph.
 func (m *Manager) resolve(req Request) (string, *spec.Spec, spec.Options, string, error) {
 	var zero spec.Options
-	if (req.System == "") == (req.Spec == nil) {
+	sp, digest := req.Spec, ""
+	if req.Parsed != nil && sp == nil {
+		sp, digest = req.Parsed.Spec(), req.Parsed.Digest()
+	}
+	if (req.System == "") == (sp == nil) || (req.Parsed != nil && req.Spec != nil) {
 		return "", nil, zero, "", fmt.Errorf("%w: exactly one of system and spec must be set", ErrBadRequest)
 	}
 	opts := req.Options
-	if opts.IsZero() && req.Spec != nil && req.Spec.Options != nil {
+	if opts.IsZero() && sp != nil && sp.Options != nil {
 		// IsZero ignores DeadlineMS, so a request carrying only a deadline
 		// still defers to the spec's embedded options — but the deadline is
 		// the caller's, and survives the substitution.
 		dl := opts.DeadlineMS
-		opts = *req.Spec.Options
+		opts = *sp.Options
 		if dl > 0 {
 			opts.DeadlineMS = dl
 		}
@@ -635,12 +645,14 @@ func (m *Manager) resolve(req Request) (string, *spec.Spec, spec.Options, string
 	if _, ok := wlopt.Lookup(opts.Strategy); !ok {
 		return "", nil, zero, "", fmt.Errorf("%w: unknown strategy %q (registered: %v)", ErrBadRequest, opts.Strategy, wlopt.Strategies())
 	}
-	if req.Spec != nil {
-		digest, err := req.Spec.Digest() // validates the spec as a side effect
-		if err != nil {
-			return "", nil, zero, "", fmt.Errorf("%w: %w", ErrBadSpec, err)
+	if sp != nil {
+		if digest == "" {
+			var err error
+			if digest, err = sp.Digest(); err != nil { // validates the spec as a side effect
+				return "", nil, zero, "", fmt.Errorf("%w: %w", ErrBadSpec, err)
+			}
 		}
-		return req.Spec.Name, req.Spec, opts, digest, nil
+		return sp.Name, sp, opts, digest, nil
 	}
 	en, err := m.registrySpec(req.System, opts.MaxFrac)
 	if err != nil {

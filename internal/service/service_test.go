@@ -156,6 +156,34 @@ func TestSubmitInlineSpecUsesEmbeddedOptions(t *testing.T) {
 	}
 }
 
+// TestSubmitParsedSpec submits an already digested spec: the job takes
+// its digest and embedded options, and a request carrying it next to a
+// Spec is ambiguous and rejected.
+func TestSubmitParsedSpec(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "examples", "specs", "comb-notch.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := spec.ParseDigested(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := testManager(t, Config{Workers: 1})
+	if _, err := m.Submit(Request{Spec: d.Spec(), Parsed: d}); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("spec and parsed both set: %v, want ErrBadRequest", err)
+	}
+	info, err := m.Submit(Request{Parsed: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Digest != d.Digest() || info.Strategy != "hybrid" {
+		t.Fatalf("digest %s, strategy %q; want %s and the embedded hybrid", info.Digest, info.Strategy, d.Digest())
+	}
+	if fin := waitDone(t, m, info.ID); fin.State != JobDone {
+		t.Fatalf("state %s, error %q", fin.State, fin.Error)
+	}
+}
+
 func TestSubmitValidation(t *testing.T) {
 	m := testManager(t, Config{Workers: 1})
 	cases := []struct {

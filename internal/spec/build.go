@@ -3,6 +3,7 @@ package spec
 import (
 	"fmt"
 
+	"repro/internal/filter"
 	"repro/internal/qnoise"
 	"repro/internal/sfg"
 )
@@ -11,15 +12,14 @@ import (
 // are created in spec order (so node IDs, and therefore the evaluators'
 // source ordering, follow the document), edges in edge order.
 func (sp *Spec) Build() (*sfg.Graph, error) {
-	if err := sp.Validate(); err != nil {
-		return nil, err
-	}
-	return sp.build()
+	g, _, err := sp.check()
+	return g, err
 }
 
-// build assembles the graph; semantic validation (unique names, kind
-// parameters, resolvable designs) must already have passed.
-func (sp *Spec) build() (*sfg.Graph, error) {
+// build assembles the graph from the nodes' resolved filters; semantic
+// validation (unique names, kind parameters, known modes and edge ends)
+// must already have passed.
+func (sp *Spec) build(filters []filter.Filter) (*sfg.Graph, error) {
 	g := sfg.New()
 	ids := make(map[string]sfg.NodeID, len(sp.Nodes))
 	for i := range sp.Nodes {
@@ -41,20 +41,11 @@ func (sp *Spec) build() (*sfg.Graph, error) {
 		case "up":
 			id = g.Up(n.Name, *n.Factor)
 		case "filter":
-			flt, err := n.Filter.resolve()
-			if err != nil {
-				return nil, fmt.Errorf("spec: nodes[%d] (%q): %v", i, n.Name, err)
-			}
-			id = g.Filter(n.Name, flt)
-		default:
-			return nil, fmt.Errorf("spec: nodes[%d] (%q): unknown kind %q", i, n.Name, n.Kind)
+			id = g.Filter(n.Name, filters[i])
 		}
 		ids[n.Name] = id
 		if ns := n.Noise; ns != nil {
-			mode, err := parseMode(ns.Mode)
-			if err != nil {
-				return nil, fmt.Errorf("spec: nodes[%d] (%q): noise: %v", i, n.Name, err)
-			}
+			mode, _ := parseMode(ns.Mode)
 			src := qnoise.Source{Name: ns.Name, Mode: mode, Frac: ns.Frac, FracIn: ns.FracIn}
 			if ns.Override != nil {
 				src.Override = &qnoise.Moments{Mean: ns.Override.Mean, Variance: ns.Override.Variance}
@@ -62,16 +53,8 @@ func (sp *Spec) build() (*sfg.Graph, error) {
 			g.SetNoise(id, src)
 		}
 	}
-	for i, e := range sp.Edges {
-		from, ok := ids[e[0]]
-		if !ok {
-			return nil, fmt.Errorf("spec: edges[%d]: unknown node %q", i, e[0])
-		}
-		to, ok := ids[e[1]]
-		if !ok {
-			return nil, fmt.Errorf("spec: edges[%d]: unknown node %q", i, e[1])
-		}
-		g.Connect(from, to)
+	for _, e := range sp.Edges {
+		g.Connect(ids[e[0]], ids[e[1]])
 	}
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("spec: invalid graph: %v", err)

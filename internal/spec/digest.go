@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+
+	"repro/internal/filter"
 )
 
 // Digest returns a content hash identifying the optimization problem the
@@ -27,9 +29,16 @@ import (
 // Digest validates the spec first and returns an error for specs that do
 // not build.
 func (sp *Spec) Digest() (string, error) {
-	if err := sp.Validate(); err != nil {
+	_, filters, err := sp.check()
+	if err != nil {
 		return "", err
 	}
+	return sp.digest(filters), nil
+}
+
+// digest hashes the canonical form of a spec that check has passed, from
+// the filters check resolved.
+func (sp *Spec) digest(filters []filter.Filter) string {
 	type canonNoise struct {
 		Name     string       `json:"name"`
 		Mode     string       `json:"mode"`
@@ -55,16 +64,12 @@ func (sp *Spec) Digest() (string, error) {
 		Edges   [][2]string `json:"edges"`
 	}
 
-	cs := canonSpec{Version: Version}
+	cs := canonSpec{Version: Version, Nodes: make([]canonNode, 0, len(sp.Nodes))}
 	for i := range sp.Nodes {
 		n := &sp.Nodes[i]
 		cn := canonNode{Name: n.Name, Kind: n.Kind, Gain: n.Gain, Delay: n.Delay, Factor: n.Factor}
 		if n.Filter != nil {
-			flt, err := n.Filter.resolve()
-			if err != nil {
-				return "", fmt.Errorf("spec: digest: node %q: %v", n.Name, err)
-			}
-			cn.Filter = &canonFilter{B: flt.B, A: flt.A}
+			cn.Filter = &canonFilter{B: filters[i].B, A: filters[i].A}
 		}
 		if n.Noise != nil {
 			name := n.Noise.Name
@@ -74,10 +79,7 @@ func (sp *Spec) Digest() (string, error) {
 				// agree on identity.
 				name = n.Name
 			}
-			mode, err := parseMode(n.Noise.Mode)
-			if err != nil {
-				return "", fmt.Errorf("spec: digest: node %q: %v", n.Name, err)
-			}
+			mode, _ := parseMode(n.Noise.Mode)
 			cn.Noise = &canonNoise{Name: name, Mode: modeName(mode), FracIn: n.Noise.FracIn, Override: n.Noise.Override}
 		}
 		cs.Nodes = append(cs.Nodes, cn)
@@ -90,8 +92,36 @@ func (sp *Spec) Digest() (string, error) {
 		}
 		return cs.Edges[i][1] < cs.Edges[j][1]
 	})
-	return hashJSON(cs), nil
+	return hashJSON(cs)
 }
+
+// Digested is a validated spec together with its content digest. Only
+// ParseDigested makes one, so the digest is always the spec's own. It is
+// made to be shared: every holder reads the spec and none modifies it.
+type Digested struct {
+	spec   *Spec
+	digest string
+}
+
+// ParseDigested is Parse followed by Digest in one validation pass, so
+// each filter is designed once for both.
+func ParseDigested(data []byte) (*Digested, error) {
+	sp, err := decode(data)
+	if err != nil {
+		return nil, err
+	}
+	_, filters, err := sp.check()
+	if err != nil {
+		return nil, err
+	}
+	return &Digested{spec: sp, digest: sp.digest(filters)}, nil
+}
+
+// Spec returns the parsed spec, which the caller must not modify.
+func (d *Digested) Spec() *Spec { return d.spec }
+
+// Digest returns the spec's content digest.
+func (d *Digested) Digest() string { return d.digest }
 
 // hashJSON marshals v (struct marshaling is deterministic; float64s use the
 // shortest round-trip form, so equal bit patterns hash equally) and returns

@@ -39,6 +39,7 @@ import (
 	"repro/internal/dsp"
 	"repro/internal/filter"
 	"repro/internal/fixed"
+	"repro/internal/sfg"
 )
 
 // Version is the format version Parse accepts and Marshal emits. It is
@@ -255,6 +256,18 @@ func (o Options) Fingerprint() string {
 // nodes[i] or edges[i] element (and its node name) they refer to. The
 // returned spec is normalized (Version set) and is guaranteed to Build.
 func Parse(data []byte) (*Spec, error) {
+	sp, err := decode(data)
+	if err != nil {
+		return nil, err
+	}
+	if err := sp.Validate(); err != nil {
+		return nil, err
+	}
+	return sp, nil
+}
+
+// decode reads a spec document without validating it.
+func decode(data []byte) (*Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var sp Spec
@@ -264,9 +277,6 @@ func Parse(data []byte) (*Spec, error) {
 	// Trailing garbage after the document is a structural error too.
 	if dec.More() {
 		return nil, atOffset(data, dec.InputOffset(), "unexpected data after document")
-	}
-	if err := sp.Validate(); err != nil {
-		return nil, err
 	}
 	return &sp, nil
 }
@@ -319,47 +329,66 @@ func atOffset(data []byte, off int64, msg string) *PosError {
 // well-formed fan-in). Error messages are positional: nodes[i] ("name"),
 // edges[i].
 func (sp *Spec) Validate() error {
+	_, _, err := sp.check()
+	return err
+}
+
+// check is Validate, Digest and Build in one pass: it validates the spec,
+// designs each filter once and assembles the graph once, and returns the
+// graph and every node's resolved filter (zero for other kinds), so none
+// of the three designs a filter or assembles the graph a second time.
+func (sp *Spec) check() (*sfg.Graph, []filter.Filter, error) {
 	if sp.Version == 0 {
 		sp.Version = Version
 	}
 	if sp.Version != Version {
-		return fmt.Errorf("spec: unsupported version %d (want %d)", sp.Version, Version)
+		return nil, nil, fmt.Errorf("spec: unsupported version %d (want %d)", sp.Version, Version)
 	}
 	if len(sp.Nodes) == 0 {
-		return fmt.Errorf("spec: no nodes")
+		return nil, nil, fmt.Errorf("spec: no nodes")
 	}
 	seen := make(map[string]int, len(sp.Nodes))
 	// Source names key optimizer results (Fracs) and cost weights
 	// (cost_per_bit), so they must be unique across the whole spec.
 	sources := make(map[string]int)
+	filters := make([]filter.Filter, len(sp.Nodes))
 	for i := range sp.Nodes {
 		n := &sp.Nodes[i]
 		at := func(format string, args ...any) error {
 			return fmt.Errorf("spec: nodes[%d] (%q): %s", i, n.Name, fmt.Sprintf(format, args...))
 		}
 		if n.Name == "" {
-			return fmt.Errorf("spec: nodes[%d]: missing name", i)
+			return nil, nil, fmt.Errorf("spec: nodes[%d]: missing name", i)
 		}
 		if j, dup := seen[n.Name]; dup {
-			return at("duplicate of nodes[%d]", j)
+			return nil, nil, at("duplicate of nodes[%d]", j)
 		}
 		seen[n.Name] = i
 		if err := n.validateKind(); err != nil {
-			return at("%v", err)
+			return nil, nil, at("%v", err)
+		}
+		if n.Filter != nil {
+			// Designs must resolve; report their errors at parse time, not
+			// build time.
+			flt, err := n.Filter.resolve()
+			if err != nil {
+				return nil, nil, at("%v", err)
+			}
+			filters[i] = flt
 		}
 		if n.Noise != nil {
 			if n.Kind == "output" {
-				return at("noise source on the output node")
+				return nil, nil, at("noise source on the output node")
 			}
 			if err := n.Noise.validate(); err != nil {
-				return at("noise: %v", err)
+				return nil, nil, at("noise: %v", err)
 			}
 			srcName := n.Noise.Name
 			if srcName == "" {
 				srcName = n.Name // sfg.SetNoise defaults the same way
 			}
 			if j, dup := sources[srcName]; dup {
-				return at("noise: source name %q already used by nodes[%d]", srcName, j)
+				return nil, nil, at("noise: source name %q already used by nodes[%d]", srcName, j)
 			}
 			sources[srcName] = i
 		}
@@ -367,24 +396,25 @@ func (sp *Spec) Validate() error {
 	for i, e := range sp.Edges {
 		for side, name := range e {
 			if _, ok := seen[name]; !ok {
-				return fmt.Errorf("spec: edges[%d]: unknown node %q (side %d)", i, name, side)
+				return nil, nil, fmt.Errorf("spec: edges[%d]: unknown node %q (side %d)", i, name, side)
 			}
 		}
 		if e[0] == e[1] {
-			return fmt.Errorf("spec: edges[%d]: self loop on %q", i, e[0])
+			return nil, nil, fmt.Errorf("spec: edges[%d]: self loop on %q", i, e[0])
 		}
 	}
 	if sp.Options != nil {
 		if err := sp.Options.WithDefaults().Validate(); err != nil {
-			return err
+			return nil, nil, err
 		}
 	}
 	// Structural validation: the graph must assemble, pass sfg.Validate
 	// and be acyclic — build reports those with node names attached.
-	if _, err := sp.build(); err != nil {
-		return err
+	g, err := sp.build(filters)
+	if err != nil {
+		return nil, nil, err
 	}
-	return nil
+	return g, filters, nil
 }
 
 // validateKind checks the kind string and that exactly the parameter fields
@@ -465,13 +495,6 @@ func (f *FilterSpec) validate() error {
 	}
 	if f.IIR != nil && f.IIR.Order > MaxIIROrder {
 		return fmt.Errorf("iir order %d above the maximum %d", f.IIR.Order, MaxIIROrder)
-	}
-	// Designs must resolve; report their errors at parse time, not build
-	// time.
-	if f.FIR != nil || f.IIR != nil {
-		if _, err := f.resolve(); err != nil {
-			return err
-		}
 	}
 	return nil
 }

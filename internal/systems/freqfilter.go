@@ -30,8 +30,9 @@ import (
 // FFT bins injects complex white noise of power q^2/6 per bin, which after
 // the 1/N_f inverse transform is white in time with variance q^2/(6 N_f);
 // the q3 noise additionally rides through the coefficient multiply and so
-// is shaped by |H_hp|^2. (See DESIGN.md, substitution 4, for the block-size
-// choice: FFT 16 with a 9-tap high-pass, hop 8.)
+// is shaped by |H_hp|^2. The paper fixes the FFT size at 16 but not the
+// high-pass length; 9 taps leave an overlap-save hop of 16 − (9 − 1) = 8
+// samples, so each frame yields half a frame of new output.
 type FreqFilter struct {
 	// LP is the 16-tap time-domain low-pass; zero value uses the default
 	// design (cutoff 0.10).
