@@ -523,7 +523,7 @@ func BenchmarkEvaluateBatch(b *testing.B) {
 	}
 	base := core.AssignmentOf(g)
 	var batch []core.Assignment
-	for id := range base {
+	for _, id := range g.NoiseSources() {
 		a := base.Clone()
 		a[id]--
 		batch = append(batch, a)

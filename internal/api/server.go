@@ -197,7 +197,7 @@ func (s *Server) systems(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r, s.cfg.MaxBody)
+	body, err := ReadBody(w, r, s.cfg.MaxBody)
 	if err != nil {
 		writeErr(w, fmt.Errorf("%w: %v", service.ErrBadRequest, err))
 		return
@@ -281,9 +281,21 @@ func ApplyDeadlineHeader(req *service.Request, header string) error {
 	return nil
 }
 
-func readBody(w http.ResponseWriter, r *http.Request, maxBody int64) ([]byte, error) {
+// ReadBody reads r's body, failing once it passes maxBody bytes. A body
+// that declares a length within the limit is read into a buffer of
+// exactly that length; a chunked one, or one declaring more than the
+// limit, is read through a growing buffer that stops at the limit, so a
+// header never makes the server allocate more than maxBody.
+func ReadBody(w http.ResponseWriter, r *http.Request, maxBody int64) ([]byte, error) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
 	defer r.Body.Close()
+	if n := r.ContentLength; n >= 0 && n <= maxBody {
+		body := make([]byte, n)
+		if _, err := io.ReadFull(r.Body, body); err != nil {
+			return nil, err
+		}
+		return body, nil
+	}
 	return io.ReadAll(r.Body)
 }
 

@@ -43,7 +43,10 @@ type SourceContribution struct {
 	Mean float64
 }
 
-// Result is the outcome of an analytical accuracy evaluation.
+// Result is the outcome of an analytical accuracy evaluation. A Result an
+// Engine returns is read-only: the engine hands every caller of a uniform
+// assignment one shared, memoized Result (see Engine), so a caller that
+// needs to change one must copy it first.
 type Result struct {
 	// Power is the total output error power E[b^2] = Mean^2 + Variance.
 	Power float64

@@ -12,25 +12,38 @@ import (
 	"repro/internal/sfg"
 )
 
-// Assignment maps noise-source node IDs to fractional bit widths. It is the
-// unit of work of the batch evaluation API: one Assignment describes one
-// hypothetical fixed-point configuration of a graph without mutating the
-// graph itself, which is what lets many configurations be scored
-// concurrently against shared read-only structure.
-type Assignment map[sfg.NodeID]int
+// Assignment gives the noise sources of a graph fractional bit widths,
+// indexed by the source's sfg.NodeID; entries of nodes without a noise
+// source are ignored. It is the unit of work of the batch evaluation API:
+// one Assignment describes one hypothetical fixed-point configuration of a
+// graph without mutating the graph itself, which is what lets many
+// configurations be scored concurrently against shared read-only
+// structure.
+//
+// A nil Assignment stands for the graph's stored widths on every entry
+// point. A non-nil one must give every noise source a width, that is, be
+// longer than the largest source ID; a shorter one is an error naming the
+// first source it leaves out, never a fallback to the stored widths.
+type Assignment []int
 
 // AssignmentOf captures g's current noise-source widths.
 func AssignmentOf(g *sfg.Graph) Assignment {
-	a := make(Assignment)
-	for _, id := range g.NoiseSources() {
-		a[id] = g.Node(id).Noise.Frac
+	a := make(Assignment, len(g.Nodes()))
+	for _, n := range g.Nodes() {
+		if n.Noise != nil {
+			a[n.ID] = n.Noise.Frac
+		}
 	}
 	return a
 }
 
 // UniformAssignment assigns frac to every listed noise source.
 func UniformAssignment(sources []sfg.NodeID, frac int) Assignment {
-	a := make(Assignment, len(sources))
+	n := 0
+	for _, id := range sources {
+		n = max(n, int(id)+1)
+	}
+	a := make(Assignment, n)
 	for _, id := range sources {
 		a[id] = frac
 	}
@@ -38,20 +51,40 @@ func UniformAssignment(sources []sfg.NodeID, frac int) Assignment {
 }
 
 // Clone returns an independent copy.
-func (a Assignment) Clone() Assignment {
-	out := make(Assignment, len(a))
-	for id, f := range a {
-		out[id] = f
+func (a Assignment) Clone() Assignment { return slices.Clone(a) }
+
+// Apply writes the widths into g's noise sources; nodes without a noise
+// source are left alone, and a nil a leaves g as it is. A non-nil a must
+// give every source a width (see Check).
+func (a Assignment) Apply(g *sfg.Graph) {
+	if a == nil {
+		return
 	}
-	return out
+	for _, n := range g.Nodes() {
+		if n.Noise != nil {
+			n.Noise.Frac = a[n.ID]
+		}
+	}
 }
 
-// Apply writes the widths into g's noise sources. Sources not present in
-// the assignment keep their current width.
-func (a Assignment) Apply(g *sfg.Graph) {
-	for id, f := range a {
-		g.Node(id).Noise.Frac = f
+// Check returns an error naming the first noise source of g that a
+// gives no width; a nil a, the stored widths, covers every source.
+func (a Assignment) Check(g *sfg.Graph) error {
+	if a == nil {
+		return nil
 	}
+	for _, n := range g.Nodes() {
+		if n.Noise != nil && int(n.ID) >= len(a) {
+			return uncovered(a, n)
+		}
+	}
+	return nil
+}
+
+// uncovered is the error for an assignment too short to give source n a
+// width.
+func uncovered(a Assignment, n *sfg.Node) error {
+	return fmt.Errorf("core: assignment of length %d gives noise source %q (node %d) no width", len(a), n.Noise.Name, n.ID)
 }
 
 // BatchEvaluator is implemented by evaluators that can score many width
@@ -115,9 +148,12 @@ type MovePowerEvaluator interface {
 // most 49 Results) on first use: the strategies' feasibility checks,
 // uniform baselines and starting points, and the service's budget probe
 // all evaluate uniform assignments, whose results never change for a
-// plan. Callers get a deep copy. The memo lives and dies with its plan:
-// eviction and Invalidate drop it, RestorePlan starts it empty, and
-// snapshots do not carry it.
+// plan. Every caller of a width gets the memo's one *Result. The memo
+// lives and dies with its plan: eviction and Invalidate drop it,
+// RestorePlan starts it empty, and snapshots do not carry it.
+//
+// Results are read-only: a memoized Result is shared by every caller of
+// its width, so no caller may write into any Result the engine returns.
 //
 // The read path is lock-free: the plan cache is an immutable snapshot
 // swapped through an atomic pointer (copy-on-write), and recency stamps
@@ -469,17 +505,19 @@ type graphPlan struct {
 	resp    [][]complex128 // by NodeID; nil for non-LTI nodes
 	scratch sync.Pool      // of *evalScratch
 
-	cached    bool               // transfer profiles validated; cached path is canonical
-	profiles  []transferProfile  // by source index (NoiseSources order)
-	srcIndex  map[sfg.NodeID]int // source id -> index in NoiseSources order
-	statePool sync.Pool          // of *contribState, for cached evaluation
+	cached    bool              // transfer profiles validated; cached path is canonical
+	profiles  []transferProfile // by source index (NoiseSources order)
+	srcIndex  []int             // by NodeID: index in NoiseSources order, -1 for non-sources
+	cover     int               // largest source ID + 1: the shortest Assignment accepted
+	statePool sync.Pool         // of *contribState, for cached evaluation
 
 	sigmaOnce  sync.Once      // lazily builds the σ² width tables
 	sigma      [][]sigmaEntry // per-source width→(σ², μ) tables; see sigmaFor
 	scalarPool sync.Pool      // of *scalarState, for PowerMoves
 
-	// uniform memoizes, by width on the σ² grid, the Result of the
-	// assignment giving every source that width; see evaluate.
+	// uniform memoizes, by width on the σ² grid, the shared read-only
+	// Result of the assignment giving every source that width; see
+	// evaluate.
 	uniform [sigmaGridMax - sigmaGridMin + 1]atomic.Pointer[Result]
 }
 
@@ -495,10 +533,7 @@ func newGraphPlanMode(g *sfg.Graph, npsd int, forceFull bool) (*graphPlan, error
 		return nil, err
 	}
 	p := &graphPlan{npsd: npsd, snap: snap, resp: make([][]complex128, snap.Len())}
-	p.srcIndex = make(map[sfg.NodeID]int, len(snap.NoiseSources()))
-	for i, id := range snap.NoiseSources() {
-		p.srcIndex[id] = i
-	}
+	p.indexSources()
 	// Preprocessing (the paper's tau_pp): sample every LTI node's response
 	// once per plan instead of once per Evaluate call.
 	for _, id := range snap.Order() {
@@ -515,17 +550,54 @@ func newGraphPlanMode(g *sfg.Graph, npsd int, forceFull bool) (*graphPlan, error
 	return p, nil
 }
 
+// indexSources fills srcIndex and cover from the plan's snapshot.
+func (p *graphPlan) indexSources() {
+	p.srcIndex = make([]int, p.snap.Len())
+	for i := range p.srcIndex {
+		p.srcIndex[i] = -1
+	}
+	for i, id := range p.snap.NoiseSources() {
+		p.srcIndex[id] = i
+		p.cover = max(p.cover, int(id)+1)
+	}
+}
+
+// check is Assignment.Check against the plan's sources.
+func (p *graphPlan) check(a Assignment) error {
+	if a == nil || len(a) >= p.cover {
+		return nil
+	}
+	for _, id := range p.snap.NoiseSources() {
+		if int(id) >= len(a) {
+			return uncovered(a, p.snap.Node(id))
+		}
+	}
+	return nil
+}
+
+// frac returns source id's width under a (nil means the graph's stored
+// widths).
+func (p *graphPlan) frac(id sfg.NodeID, a Assignment) int {
+	if a == nil {
+		return p.snap.Node(id).Noise.Frac
+	}
+	return a[id]
+}
+
 // evaluate scores one assignment (nil means "the graph's current widths")
 // through the transfer cache when available, else by full propagation.
 // An assignment giving every source the same grid width is served from
-// the plan's uniform memo, filled here on first use. Evaluation is
-// deterministic, so a memoized Result is bit-identical to a fresh one;
-// each caller gets its own deep copy.
+// the plan's uniform memo, filled here on first use: every caller of that
+// width gets the memo's one Result, which nobody may write into.
+// Evaluation is deterministic, so it is bit-identical to a fresh one.
 func (p *graphPlan) evaluate(a Assignment) (*Result, error) {
+	if err := p.check(a); err != nil {
+		return nil, err
+	}
 	w, uniform := p.uniformWidth(a)
 	if uniform {
 		if r := p.uniform[w-sigmaGridMin].Load(); r != nil {
-			return r.clone(), nil
+			return r, nil
 		}
 	}
 	var r *Result
@@ -537,9 +609,10 @@ func (p *graphPlan) evaluate(a Assignment) (*Result, error) {
 			return nil, err
 		}
 	}
-	if uniform {
-		// A concurrent first fill may win; its Result is bit-identical.
-		p.uniform[w-sigmaGridMin].CompareAndSwap(nil, r.clone())
+	if uniform && !p.uniform[w-sigmaGridMin].CompareAndSwap(nil, r) {
+		// A concurrent first fill won; hand out its bit-identical Result
+		// so every caller of the width shares one.
+		r = p.uniform[w-sigmaGridMin].Load()
 	}
 	return r, nil
 }
@@ -549,27 +622,16 @@ func (p *graphPlan) evaluate(a Assignment) (*Result, error) {
 // lies on the σ² grid.
 func (p *graphPlan) uniformWidth(a Assignment) (int, bool) {
 	sources := p.snap.NoiseSources()
-	w := sigmaGridMin - 1
-	for i, id := range sources {
-		f := p.snap.Node(id).Noise.Frac
-		if af, ok := a[id]; ok {
-			f = af
-		}
-		if i == 0 {
-			w = f
-		} else if f != w {
+	if len(sources) == 0 {
+		return 0, false
+	}
+	w := p.frac(sources[0], a)
+	for _, id := range sources[1:] {
+		if p.frac(id, a) != w {
 			return 0, false
 		}
 	}
 	return w, w >= sigmaGridMin && w <= sigmaGridMax
-}
-
-// clone returns a deep copy of r, with its own PSD bins and PerSource rows.
-func (r *Result) clone() *Result {
-	c := *r
-	c.PSD.Bins = slices.Clone(r.PSD.Bins)
-	c.PerSource = slices.Clone(r.PerSource)
-	return &c
 }
 
 // evaluateFull is the full per-source propagation — the reference path.
@@ -579,11 +641,7 @@ func (p *graphPlan) evaluateFull(a Assignment) (*Result, error) {
 	res := &Result{PSD: psd.New(p.npsd)}
 	for _, srcID := range p.snap.NoiseSources() {
 		src := *p.snap.Node(srcID).Noise
-		if a != nil {
-			if f, ok := a[srcID]; ok {
-				src.Frac = f
-			}
-		}
+		src.Frac = p.frac(srcID, a)
 		m := src.Moments()
 		s.reset()
 		contrib, err := p.propagate(s, srcID, m.Mean, m.Variance)

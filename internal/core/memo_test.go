@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -83,23 +82,12 @@ func uniformAssignments(g *sfg.Graph) []Assignment {
 	return as
 }
 
-// scribble overwrites every bin and per-source row of r, the way a caller
-// that owns its Result may.
-func scribble(r *Result) {
-	for k := range r.PSD.Bins {
-		r.PSD.Bins[k] = math.NaN()
-	}
-	for i := range r.PerSource {
-		r.PerSource[i] = SourceContribution{Name: "scribbled", Variance: -1, Mean: -1}
-	}
-}
-
 // TestUniformMemoMatchesFreshPlans is the memo's contract: on every
 // registry system and an explore-shaped cascade, at every width in
 // [0, 48], at 1 and 4 workers, on built, restored and full-propagation
 // plans, a memoized EvaluateAssignment or EvaluateBatch Result equals a
-// fresh plan's bit for bit, and scribbling over a returned Result leaves
-// the next one unchanged.
+// fresh plan's bit for bit, and every call for a width returns the same
+// shared Result.
 func TestUniformMemoMatchesFreshPlans(t *testing.T) {
 	const npsd = 256
 	for name, build := range memoSystems(t) {
@@ -135,8 +123,9 @@ func TestUniformMemoMatchesFreshPlans(t *testing.T) {
 					}
 					as := uniformAssignments(g)
 					// Three passes: the batch fills the memo, then single
-					// and batch calls are served from it. Every Result is
-					// scribbled over once checked.
+					// and batch calls are served from it, each with the
+					// pointer the first pass got.
+					shared := make([]*Result, len(as))
 					for pass := 0; pass < 3; pass++ {
 						var got []*Result
 						var err error
@@ -154,7 +143,11 @@ func TestUniformMemoMatchesFreshPlans(t *testing.T) {
 						for i, r := range got {
 							w := sigmaGridMax - i
 							exactResultsEqual(t, fmt.Sprintf("%s/pass %d/width %d", label, pass, w), r, want[w-sigmaGridMin])
-							scribble(r)
+							if pass == 0 {
+								shared[i] = r
+							} else if r != shared[i] {
+								t.Fatalf("%s/pass %d/width %d: a memo hit returned another Result than the first call", label, pass, w)
+							}
 						}
 					}
 				}
@@ -228,9 +221,9 @@ func TestUniformMemoLifetime(t *testing.T) {
 }
 
 // TestUniformMemoConcurrentFill: goroutines racing to fill the same memo
-// cells, each scribbling over what it gets, all see the serial
-// reference's Results. Run under -race it also shows that no caller
-// shares storage with the memo or with another caller.
+// cells all get, for each width, one shared Result, bit-identical to the
+// serial reference's. Run under -race it also shows that a racing first
+// fill publishes its Result safely.
 func TestUniformMemoConcurrentFill(t *testing.T) {
 	const npsd = 128
 	build := func() *sfg.Graph { return cascadeSpecGraph(t) }
@@ -250,6 +243,7 @@ func TestUniformMemoConcurrentFill(t *testing.T) {
 	}
 	as := uniformAssignments(g)
 	const goroutines = 6
+	got := make([][]*Result, goroutines) // by goroutine, the last rep's Results
 	errs := make(chan error, goroutines)
 	var wg sync.WaitGroup
 	for gr := 0; gr < goroutines; gr++ {
@@ -257,14 +251,13 @@ func TestUniformMemoConcurrentFill(t *testing.T) {
 		go func(gr int) {
 			defer wg.Done()
 			for rep := 0; rep < 2; rep++ {
-				var got []*Result
+				var rs []*Result
 				if gr%2 == 0 {
-					rs, err := eng.EvaluateBatch(g, as)
-					if err != nil {
+					var err error
+					if rs, err = eng.EvaluateBatch(g, as); err != nil {
 						errs <- err
 						return
 					}
-					got = rs
 				} else {
 					for _, a := range as {
 						r, err := eng.EvaluateAssignment(g, a)
@@ -272,16 +265,16 @@ func TestUniformMemoConcurrentFill(t *testing.T) {
 							errs <- err
 							return
 						}
-						got = append(got, r)
+						rs = append(rs, r)
 					}
 				}
-				for i, r := range got {
+				for i, r := range rs {
 					if err := sameResult(r, want[sigmaGridMax-i-sigmaGridMin]); err != nil {
 						errs <- fmt.Errorf("goroutine %d, width %d: %v", gr, sigmaGridMax-i, err)
 						return
 					}
-					scribble(r)
 				}
+				got[gr] = rs
 			}
 		}(gr)
 	}
@@ -289,6 +282,13 @@ func TestUniformMemoConcurrentFill(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+	for gr := 1; gr < goroutines; gr++ {
+		for i, r := range got[gr] {
+			if r != got[0][i] {
+				t.Fatalf("goroutine %d, width %d: got another Result than goroutine 0", gr, sigmaGridMax-i)
+			}
+		}
 	}
 }
 

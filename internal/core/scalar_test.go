@@ -26,6 +26,7 @@ func TestSigmaTableMatchesContribLeaves(t *testing.T) {
 		if !p.cached {
 			t.Fatalf("%s: plan not on the cached path", name)
 		}
+		p.sigmaTables()
 		st := newContribState(p)
 		sources := p.snap.NoiseSources()
 		// The grid plus a few off-grid widths, which take the direct
@@ -37,7 +38,8 @@ func TestSigmaTableMatchesContribLeaves(t *testing.T) {
 		for i, id := range sources {
 			for _, w := range widths {
 				vari, mean := p.sigmaFor(i, w)
-				a := Assignment{id: w}
+				a := AssignmentOf(g)
+				a[id] = w
 				st.build(a)
 				if st.perVar[i] != vari {
 					t.Fatalf("%s: source %d width %d: table σ² %.17g != leaf %.17g",

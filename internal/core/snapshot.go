@@ -80,7 +80,7 @@ func (e *Engine) SnapshotPlan(g *sfg.Graph) (*PlanSnapshot, error) {
 	if !p.cached {
 		return nil, ErrPlanNotCached
 	}
-	p.sigmaOnce.Do(p.buildSigmaTables)
+	p.sigmaTables()
 	ps := &PlanSnapshot{
 		NPSD:    p.npsd,
 		Sources: make([]SourcePlanState, len(p.profiles)),
@@ -150,12 +150,11 @@ func (e *Engine) RestorePlan(g *sfg.Graph, ps *PlanSnapshot) error {
 	// resp stays nil: a restored plan is cached-mode by construction and
 	// never takes the propagation path, so no responses are ever sampled.
 	p.scratch.New = func() any { return newEvalScratch(p.npsd) }
-	p.srcIndex = make(map[sfg.NodeID]int, len(sources))
+	p.indexSources()
 	p.profiles = make([]transferProfile, len(sources))
 	p.sigma = make([][]sigmaEntry, len(sources))
-	for i, id := range sources {
+	for i := range sources {
 		src := &ps.Sources[i]
-		p.srcIndex[id] = i
 		bins := append([]float64(nil), src.Bins...)
 		p.profiles[i] = transferProfile{
 			bins:     bins,

@@ -165,13 +165,17 @@ func (p *graphPlan) buildSigmaTables() {
 	}
 }
 
+// sigmaTables builds the σ² tables on first use. Call it once before a
+// run of sigmaFor lookups.
+func (p *graphPlan) sigmaTables() { p.sigmaOnce.Do(p.buildSigmaTables) }
+
 // sigmaFor returns source i's scalar output contribution (σ², μ) at the
 // given width: a table lookup on the grid, the same fused
 // scale-and-accumulate kernel off it. Either way the value is
 // bit-identical to what fillLeaf's per-bin path computes for that width.
+// The tables must be built (sigmaTables).
 func (p *graphPlan) sigmaFor(i, frac int) (vari, mean float64) {
 	if frac >= sigmaGridMin && frac <= sigmaGridMax {
-		p.sigmaOnce.Do(p.buildSigmaTables)
 		e := p.sigma[i][frac-sigmaGridMin]
 		return e.vari, e.mean
 	}
@@ -181,20 +185,6 @@ func (p *graphPlan) sigmaFor(i, frac int) (vari, mean float64) {
 		acc += m.Variance * b
 	}
 	return acc, m.Mean * p.profiles[i].meanGain
-}
-
-// resolveSource returns source i's width and moments under assignment a
-// (nil means the graph's stored widths), mirroring the full path's per-call
-// moment resolution.
-func (p *graphPlan) resolveSource(i int, a Assignment) (int, qnoise.Moments) {
-	id := p.snap.NoiseSources()[i]
-	src := *p.snap.Node(id).Noise
-	if a != nil {
-		if f, ok := a[id]; ok {
-			src.Frac = f
-		}
-	}
-	return src.Frac, src.Moments()
 }
 
 // contribState is the canonical cached evaluation of one assignment: the
@@ -213,9 +203,7 @@ func (p *graphPlan) resolveSource(i int, a Assignment) (int, qnoise.Moments) {
 type contribState struct {
 	plan *graphPlan
 
-	fracs []int     // resolved width per source — the state's identity
-	vari  []float64 // resolved variance per source
-	mean  []float64 // resolved mean per source
+	fracs []int // resolved width per source — the state's identity
 
 	leafBins [][]float64 // S x npsd source contributions
 	leafMean []float64   // per-source mean contributions
@@ -233,8 +221,6 @@ func newContribState(p *graphPlan) *contribState {
 	st := &contribState{
 		plan:     p,
 		fracs:    make([]int, n),
-		vari:     make([]float64, n),
-		mean:     make([]float64, n),
 		leafBins: make([][]float64, n),
 		leafMean: make([]float64, n),
 		perVar:   make([]float64, n),
@@ -282,11 +268,13 @@ func (st *contribState) childMeans(l int) []float64 {
 	return st.meanLevels[l-1]
 }
 
-// fillLeaf computes source i's contribution from its cached profile.
-func (st *contribState) fillLeaf(i int) {
+// fillLeaf computes source i's contribution at width frac from its
+// cached profile.
+func (st *contribState) fillLeaf(i, frac int) {
 	prof := &st.plan.profiles[i]
-	psd.ScaleInto(st.leafBins[i], prof.bins, st.vari[i])
-	st.leafMean[i] = st.mean[i] * prof.meanGain
+	m := st.plan.resolveSourceFrac(i, frac)
+	psd.ScaleInto(st.leafBins[i], prof.bins, m.Variance)
+	st.leafMean[i] = m.Mean * prof.meanGain
 	st.perVar[i] = psd.Sum(st.leafBins[i])
 }
 
@@ -308,22 +296,21 @@ func (st *contribState) combinePath(i int) {
 }
 
 // build (re)computes the state for the resolved widths of assignment a.
-// Leaves whose width and moments are unchanged are reused as-is — their
-// stored values are bit-identical to a recomputation — and when only a few
-// leaves moved, only their root paths are recombined (the same additions a
-// full recombination would perform on those nodes, so the tree contents
-// are bit-identical either way).
+// Leaves whose width is unchanged are reused as-is — a leaf depends on
+// its source's width alone, since any other change to a source needs
+// Invalidate (see Engine), so its stored values are bit-identical to a
+// recomputation — and when only a few leaves moved, only their root paths
+// are recombined (the same additions a full recombination would perform
+// on those nodes, so the tree contents are bit-identical either way).
 func (st *contribState) build(a Assignment) {
 	changed := st.dirty[:0]
-	for i := range st.fracs {
-		frac, m := st.plan.resolveSource(i, a)
-		if frac == st.fracs[i] && m == (qnoise.Moments{Mean: st.mean[i], Variance: st.vari[i]}) {
+	for i, id := range st.plan.snap.NoiseSources() {
+		frac := st.plan.frac(id, a)
+		if frac == st.fracs[i] {
 			continue
 		}
 		st.fracs[i] = frac
-		st.vari[i] = m.Variance
-		st.mean[i] = m.Mean
-		st.fillLeaf(i)
+		st.fillLeaf(i, frac)
 		changed = append(changed, i)
 	}
 	st.dirty = changed
@@ -425,9 +412,7 @@ func (p *graphPlan) evaluateCached(a Assignment) *Result {
 type scalarState struct {
 	plan *graphPlan
 
-	fracs   []int     // resolved width per source — the state's identity
-	srcVar  []float64 // resolved source variance (moment, not output)
-	srcMean []float64 // resolved source mean
+	fracs []int // resolved width per source — the state's identity
 
 	vars  []float64 // per-source output variances σ²(w)
 	means []float64 // per-source output means μ(w)
@@ -441,12 +426,10 @@ type scalarState struct {
 func newScalarState(p *graphPlan) *scalarState {
 	n := len(p.profiles)
 	ss := &scalarState{
-		plan:    p,
-		fracs:   make([]int, n),
-		srcVar:  make([]float64, n),
-		srcMean: make([]float64, n),
-		vars:    make([]float64, n),
-		means:   make([]float64, n),
+		plan:  p,
+		fracs: make([]int, n),
+		vars:  make([]float64, n),
+		means: make([]float64, n),
 	}
 	for i := range ss.fracs {
 		ss.fracs[i] = -1 << 30 // never a real width: first build fills all
@@ -494,19 +477,18 @@ func (ss *scalarState) combinePath(i int) {
 	}
 }
 
-// build (re)computes the scalar state for assignment a, reusing unchanged
-// leaves exactly like contribState.build — table lookups replace the
-// per-bin scale-and-sum, with bit-identical leaf values.
+// build (re)computes the scalar state for assignment a, reusing leaves
+// whose width is unchanged exactly like contribState.build — table
+// lookups replace the per-bin scale-and-sum, with bit-identical leaf
+// values. The σ² tables must be built.
 func (ss *scalarState) build(a Assignment) {
 	changed := ss.dirty[:0]
-	for i := range ss.fracs {
-		frac, m := ss.plan.resolveSource(i, a)
-		if frac == ss.fracs[i] && m.Variance == ss.srcVar[i] && m.Mean == ss.srcMean[i] {
+	for i, id := range ss.plan.snap.NoiseSources() {
+		frac := ss.plan.frac(id, a)
+		if frac == ss.fracs[i] {
 			continue
 		}
 		ss.fracs[i] = frac
-		ss.srcVar[i] = m.Variance
-		ss.srcMean[i] = m.Mean
 		ss.vars[i], ss.means[i] = ss.plan.sigmaFor(i, frac)
 		changed = append(changed, i)
 	}
@@ -558,13 +540,22 @@ func (ss *scalarState) powerForMove(si, frac int) float64 {
 // full-propagation fallback it evaluates the moved assignments through
 // evaluateAll, the code EvaluateBatch runs, and extracts their powers.
 func (p *graphPlan) powerMoves(base Assignment, moves []Move, workers int) ([]float64, error) {
+	if err := p.check(base); err != nil {
+		return nil, err
+	}
 	for _, mv := range moves {
-		if _, ok := p.srcIndex[mv.Source]; !ok {
+		if mv.Source < 0 || int(mv.Source) >= len(p.srcIndex) || p.srcIndex[mv.Source] < 0 {
 			return nil, fmt.Errorf("core: move on node %d, which is not a noise source", mv.Source)
 		}
 	}
 	out := make([]float64, len(moves))
 	if !p.cached {
+		if base == nil {
+			base = make(Assignment, p.cover)
+			for _, id := range p.snap.NoiseSources() {
+				base[id] = p.snap.Node(id).Noise.Frac
+			}
+		}
 		as := make([]Assignment, len(moves))
 		for i, mv := range moves {
 			as[i] = base.Clone()
@@ -579,6 +570,7 @@ func (p *graphPlan) powerMoves(base Assignment, moves []Move, workers int) ([]fl
 		}
 		return out, nil
 	}
+	p.sigmaTables()
 	ss := p.scalarPool.Get().(*scalarState)
 	ss.build(base)
 	for i, mv := range moves {

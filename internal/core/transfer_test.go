@@ -148,7 +148,7 @@ func TestEvaluateMovesEquivalence(t *testing.T) {
 		sources := g.NoiseSources()
 		engines := map[int]*Engine{1: NewEngine(128, 1), 4: NewEngine(128, 4)}
 		for trial := 0; trial < 3; trial++ {
-			base := make(Assignment, len(sources))
+			base := make(Assignment, len(g.Nodes()))
 			for _, id := range sources {
 				base[id] = lo + rng.Intn(hi-lo+1)
 			}

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -187,7 +186,7 @@ func ShardKey(req service.Request) (string, error) {
 }
 
 func (rt *Router) submit(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r, rt.cfg.MaxBody)
+	body, err := api.ReadBody(w, r, rt.cfg.MaxBody)
 	if err != nil {
 		writeErr(w, fmt.Errorf("%w: %v", service.ErrBadRequest, err))
 		return
@@ -773,12 +772,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
-}
-
-func readBody(w http.ResponseWriter, r *http.Request, maxBody int64) ([]byte, error) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
-	defer r.Body.Close()
-	return io.ReadAll(r.Body)
 }
 
 // instrument wraps a handler with the wloptr_ request counter, latency

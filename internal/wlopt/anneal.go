@@ -1,7 +1,6 @@
 package wlopt
 
 import (
-	"maps"
 	"math"
 	"math/rand"
 
@@ -113,7 +112,7 @@ func (annealStrategy) Run(o *Oracle, opt Options) (*Result, error) {
 			cur[mv.Source] = mv.Frac
 			curPower, curCost = ps[i], curCost+d
 			if curCost < bestCost || (curCost == bestCost && curPower < bestPower) {
-				maps.Copy(best, cur)
+				copy(best, cur)
 				bestCost, bestPower = curCost, curPower
 			}
 			break // one accepted move per round

@@ -3,6 +3,7 @@ package wlopt
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -111,5 +112,73 @@ func TestPowersMovesAccounting(t *testing.T) {
 		if rel := math.Abs(p1[i]-p2[i]) / math.Max(p1[i], p2[i]); rel > 1e-12 {
 			t.Fatalf("move %d powers diverge beyond 1e-12 across paths: scalar %g, fallback %g", i, p1[i], p2[i])
 		}
+	}
+}
+
+// TestOracleAssignmentCoverage: over the PSDEvaluator reference, which
+// has neither batch nor move path, PowersMoves and Powers treat a nil
+// assignment as the graph's stored widths (even after earlier rounds
+// wrote theirs into the graph) and reject one too short to give every
+// source a width with an error, never a panic. The graph keeps its
+// stored widths either way.
+func TestOracleAssignmentCoverage(t *testing.T) {
+	g, _ := goldenGraph(t, "dwt")
+	sources := g.NoiseSources()
+	stored := core.AssignmentOf(g)
+	for i, id := range sources {
+		stored[id] = 8 + i%4
+	}
+	stored.Apply(g)
+	moves := []core.Move{{Source: sources[0], Frac: 5}, {Source: sources[len(sources)-1], Frac: 13}}
+	o := newOracle(g, Options{Evaluator: core.NewPSDEvaluator(64)})
+	if o.batch != nil || o.scorer != nil {
+		t.Fatal("PSDEvaluator should take the oracle's reference path")
+	}
+
+	want, err := o.PowersMoves(core.AssignmentOf(g), moves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := o.PowersMoves(nil, moves)
+	if err != nil {
+		t.Fatalf("PowersMoves(nil): %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("PowersMoves(nil) = %v, want %v", got, want)
+	}
+	other := core.UniformAssignment(sources, 6)
+	ps, err := o.Powers([]core.Assignment{other, nil})
+	if err != nil {
+		t.Fatalf("Powers with nil: %v", err)
+	}
+	storedPower, err := o.Power(core.AssignmentOf(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps[1] != storedPower {
+		t.Fatalf("nil after another assignment scored %.17g, the stored widths %.17g", ps[1], storedPower)
+	}
+
+	short := core.AssignmentOf(g)[:sources[len(sources)-1]]
+	name := g.Node(sources[len(sources)-1]).Noise.Name
+	for call, err := range map[string]error{
+		"PowersMoves": func() error { _, err := o.PowersMoves(short, moves); return err }(),
+		"Powers":      func() error { _, err := o.Powers([]core.Assignment{other, short}); return err }(),
+	} {
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Fatalf("%s on a short assignment = %v, want an error naming %q", call, err, name)
+		}
+	}
+	out, err := g.OutputNode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []sfg.NodeID{-1, out, sfg.NodeID(len(g.Nodes()))} {
+		if _, err := o.PowersMoves(nil, []core.Move{{Source: id, Frac: 8}}); err == nil {
+			t.Fatalf("a move on node %d, not a source, was scored", id)
+		}
+	}
+	if !reflect.DeepEqual(core.AssignmentOf(g), stored) {
+		t.Fatalf("the oracle left widths %v in the graph, want %v", core.AssignmentOf(g), stored)
 	}
 }

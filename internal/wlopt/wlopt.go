@@ -263,6 +263,11 @@ func (o *Oracle) powersOf(as []core.Assignment) ([]float64, error) {
 	saved := core.AssignmentOf(o.g)
 	defer saved.Apply(o.g)
 	for i, a := range as {
+		if a == nil {
+			a = saved // the stored widths, which earlier rounds overwrote
+		} else if err := a.Check(o.g); err != nil {
+			return nil, err
+		}
 		a.Apply(o.g)
 		r, err := o.ev.Evaluate(o.g)
 		if err != nil {
@@ -288,8 +293,16 @@ func (o *Oracle) PowersMoves(base core.Assignment, moves []core.Move) ([]float64
 	if o.scorer != nil {
 		return o.scorer.PowerMoves(o.g, base, moves)
 	}
+	if base == nil {
+		base = core.AssignmentOf(o.g)
+	} else if err := base.Check(o.g); err != nil {
+		return nil, err
+	}
 	as := make([]core.Assignment, len(moves))
 	for i, mv := range moves {
+		if mv.Source < 0 || int(mv.Source) >= len(o.g.Nodes()) || o.g.Node(mv.Source).Noise == nil {
+			return nil, fmt.Errorf("wlopt: move on node %d, which is not a noise source", mv.Source)
+		}
 		a := base.Clone()
 		a[mv.Source] = mv.Frac
 		as[i] = a
